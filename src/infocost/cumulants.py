@@ -6,12 +6,18 @@ directions, and convolution of distributions.  Cumulants add under
 convolution; that additivity is the property the rest of the library leans
 on when it reasons about independent repetitions.
 
-Conversions run through truncated power-series log and exp of the
-exponential moment generating function.  Expanding those series term by
-term reproduces, with identical coefficients, the alternating sum over
-ordered collections of multi-indices that `enumerate_lambda` spells out;
-grouping by power keeps the work polynomial in the box size instead of in
-the (much larger) number of collections.
+Conversions run the multivariate moment-cumulant recursion (McCullagh,
+Tensor Methods in Statistics, 1987; Smith, Am. Stat. 49, 1995).
+Differentiating M = exp(K) once along d, the last non-zero coordinate of
+alpha, and then by Leibniz gives
+
+    m(alpha) = sum over 0 < beta <= alpha with beta_d >= 1 of
+               prod_j C(alpha_j - [j=d], beta_j - [j=d]) kappa(beta) m(alpha-beta)
+
+with m(0) = 1.  It equals, term for term after grouping, the alternating
+sum over ordered collections of multi-indices that `enumerate_lambda`
+spells out, at a cost polynomial in the box size instead of in the (much
+larger) number of collections.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import convolve as _nd_convolve
 
 from .errors import (
     DimensionMismatch,
@@ -122,47 +127,30 @@ def convolve(a: FiniteDistribution, b: FiniteDistribution) -> FiniteDistribution
     return FiniteDistribution(pts, ws[0])
 
 
-def _validated_values(dim: int, order: int, values) -> dict:
-    _check_box(dim, order)
-    vals = dict(values)
-    for alpha in multi_indices(dim, order):
-        if alpha not in vals:
-            raise IncompleteInput(f"missing index {alpha}")
-        if not math.isfinite(vals[alpha]):
-            raise ValidationError(f"non-finite value at {alpha}")
-    return vals
-
-
 @dataclass(frozen=True)
 class MomentVector:
-    """Mixed moments m(alpha) for every alpha in the index box."""
+    """Values on the index box: mixed moments m(alpha), or, under the alias
+    CumulantVector, mixed cumulants kappa(alpha)."""
 
     dim: int
     order: int
     values: Mapping[MultiIndex, float]
 
     def __post_init__(self):
-        vals = _validated_values(self.dim, self.order, self.values)
+        _check_box(self.dim, self.order)
+        vals = dict(self.values)
+        for alpha in multi_indices(self.dim, self.order):
+            if alpha not in vals:
+                raise IncompleteInput(f"missing index {alpha}")
+            if not math.isfinite(vals[alpha]):
+                raise ValidationError(f"non-finite value at {alpha}")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, alpha: MultiIndex) -> float:
         return self.values[tuple(alpha)]
 
 
-@dataclass(frozen=True)
-class CumulantVector:
-    """Mixed cumulants kappa(alpha) for every alpha in the index box."""
-
-    dim: int
-    order: int
-    values: Mapping[MultiIndex, float]
-
-    def __post_init__(self):
-        vals = _validated_values(self.dim, self.order, self.values)
-        object.__setattr__(self, "values", vals)
-
-    def __getitem__(self, alpha: MultiIndex) -> float:
-        return self.values[tuple(alpha)]
+CumulantVector = MomentVector
 
 
 def moments(dist: FiniteDistribution, order: int) -> MomentVector:
@@ -245,67 +233,47 @@ def enumerate_lambda(alpha) -> tuple:
     return _enumerate(alpha)
 
 
-def _factorial_box(n: int, order: int) -> np.ndarray:
-    """fact[alpha] = prod of component factorials, as floats (exact here)."""
-    f = np.array([math.factorial(e) for e in range(order + 1)], dtype=float)
-    out = f
-    for _ in range(n - 1):
-        out = np.multiply.outer(out, f)
-    return out
-
-
-def _truncated_product(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    full = _nd_convolve(a, b, method="direct")
-    cut = tuple(slice(0, order + 1) for _ in range(a.ndim))
-    return full[cut]
-
-
-def _vector_to_egf(vec, n: int, order: int) -> np.ndarray:
-    """Series coefficients value(alpha)/alpha! on the box, zero at the origin."""
-    fact = _factorial_box(n, order)
-    arr = np.zeros((order + 1,) * n)
+@lru_cache(maxsize=None)
+def _recursion(n: int, order: int) -> tuple:
+    """(alpha, terms) for each alpha of the box in lexicographic order, where
+    terms are the (beta, alpha - beta, coefficient) of the recursion with
+    beta != alpha; the beta = alpha term is kappa(alpha) * m(0).  Every index
+    a term reads precedes alpha.
+    """
+    table = []
     for alpha in multi_indices(n, order):
-        arr[alpha] = vec[alpha] / fact[alpha]
-    return arr
-
-
-def _egf_to_vector(arr: np.ndarray, n: int, order: int) -> dict:
-    fact = _factorial_box(n, order)
-    return {
-        alpha: float(arr[alpha] * fact[alpha])
-        for alpha in multi_indices(n, order)
-    }
+        d = max(j for j, a in enumerate(alpha) if a)
+        # per coordinate j: (beta_j, alpha_j - beta_j, binomial factor)
+        axes = [
+            [(b, a - b, math.comb(a - (j == d), b - (j == d)))
+             for b in range(j == d, a + 1)]
+            for j, a in enumerate(alpha)
+        ]
+        terms = []
+        for parts in itertools.product(*axes):
+            beta, rest, coefs = zip(*parts)
+            if any(rest):
+                terms.append((beta, rest, float(math.prod(coefs))))
+        table.append((alpha, tuple(terms)))
+    return tuple(table)
 
 
 def moments_to_cumulants(m: MomentVector) -> CumulantVector:
-    """kappa(alpha) from the alternating sum over ordered collections:
-    sum over (lambda^1..lambda^q) of (-1)^(q-1)/q * alpha!/(prod lambda!)
-    * prod m(lambda^p), evaluated via the truncated series log.
-    """
-    n, order = m.dim, m.order
-    M = _vector_to_egf(m, n, order)
-    total = M.copy()
-    power = M
-    for q in range(2, n * order + 1):
-        power = _truncated_product(power, M, order)
-        total += ((-1.0) ** (q - 1) / q) * power
-    return CumulantVector(n, order, _egf_to_vector(total, n, order))
+    """kappa(alpha): the recursion solved for its beta = alpha term."""
+    mv = m.values
+    k = {}
+    for alpha, terms in _recursion(m.dim, m.order):
+        k[alpha] = mv[alpha] - sum(c * k[b] * mv[r] for b, r, c in terms)
+    return CumulantVector(m.dim, m.order, k)
 
 
 def cumulants_to_moments(k: CumulantVector) -> MomentVector:
-    """m(alpha) = sum over collections of 1/q! * alpha!/(prod lambda!)
-    * prod kappa(lambda^p), evaluated via the truncated series exp.
-    """
-    n, order = k.dim, k.order
-    K = _vector_to_egf(k, n, order)
-    total = np.zeros_like(K)
-    power = K.copy()
-    qfact = 1.0
-    for q in range(1, n * order + 1):
-        total += power / qfact
-        power = _truncated_product(power, K, order)
-        qfact *= q + 1
-    return MomentVector(n, order, _egf_to_vector(total, n, order))
+    """m(alpha) by the recursion, in lexicographic order of alpha."""
+    kv = k.values
+    m = {}
+    for alpha, terms in _recursion(k.dim, k.order):
+        m[alpha] = kv[alpha] + sum(c * kv[b] * m[r] for b, r, c in terms)
+    return MomentVector(k.dim, k.order, m)
 
 
 def cumulants(dist: FiniteDistribution, order: int) -> CumulantVector:

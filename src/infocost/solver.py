@@ -521,7 +521,9 @@ def solve_mutual_information(
     pb = q @ P
     res = float(np.max(np.abs(P - _mi_map(pb, E))))
 
-    mask = P > 0.0
+    # an action whose marginal underflows to 0 can keep subnormal entries;
+    # their true terms are below P ln(1/q_i), so they are left out
+    mask = (P > 0.0) & (pb > 0.0)
     ratio = np.ones_like(P)
     ratio[mask] = P[mask] / np.broadcast_to(pb, P.shape)[mask]
     mi = float(np.sum(q[:, None] * np.where(mask, P * np.log(ratio), 0.0)))

@@ -8,10 +8,12 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infocost
 import infocost.cli as cli
 from infocost import (
     NonConcaveWarning,
@@ -358,3 +360,15 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         assert "NonConcaveWarning" in proc.stderr
         assert json.loads(proc.stdout)["converged"] is True
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(infocost.__file__).parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import infocost; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

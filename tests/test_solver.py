@@ -9,6 +9,7 @@ of random rules that must never beat the reported optimum.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,31 @@ class TestSolveMutualInformation:
         problem = _matching_problem()
         res = solve_mutual_information(problem, 1e3, SolveOptions(tol=1e-12))
         np.testing.assert_allclose(res.rule.probs, 0.5, atol=1e-3)
+
+    def test_underflowed_action_keeps_cost_finite(self):
+        # the 83rd draw: action a0's marginal underflows to 0 while one of
+        # its entries stays subnormal; that entry must not price as inf
+        rng = np.random.default_rng(5)
+        for _ in range(83):
+            n = rng.integers(2, 6)
+            m = rng.integers(2, 5)
+            u = rng.uniform(-1, 2, (m, n))
+            q = rng.uniform(0.1, 1, n)
+            q = q / q.sum()
+            lam = rng.uniform(0.1, 2)
+        assert (n, m) == (3, 4)
+        problem = DecisionProblem(
+            StateSpace(tuple(f"s{i}" for i in range(n))),
+            tuple(f"a{j}" for j in range(m)),
+            u,
+            q,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_mutual_information(problem, lam)
+        assert res.converged
+        assert res.cost == pytest.approx(1.735e-7, rel=1e-3)
+        assert res.objective == pytest.approx(res.expected_utility - res.cost)
 
     def test_rejects_bad_lambda(self):
         problem = _matching_problem()
