@@ -33,9 +33,6 @@ from .experiments import ENTRY_FLOOR, ROW_SUM_TOL, StateSpace
 # an action is out of support when its probability is below this in every state
 SUPPORT_EPS = 1e-10
 
-_STEP_MIN = 1e-18
-_STEP_MAX = 1e3
-
 
 @dataclass(frozen=True, eq=False)
 class DecisionProblem:
@@ -162,15 +159,11 @@ def _restricted_cost(P: np.ndarray, B: np.ndarray) -> float:
     A zero probability on a supported action makes some KL divergence, and
     hence the cost, infinite; that is reported as inf, not an error.
     """
-    keep = P.max(axis=0) > 0.0
-    Q = P[:, keep]
-    if Q.shape[1] == 0:
-        return 0.0
+    Q = P[:, P.max(axis=0) > 0.0]
     if np.all(Q > 0.0):
         L = np.log(Q)
         own = (Q * L).sum(axis=1)
-        D = own[:, None] - Q @ L.T
-        return float(np.sum(B * D))
+        return float(np.sum(B * (own[:, None] - Q @ L.T)))
     n = Q.shape[0]
     total = 0.0
     for i in range(n):
@@ -201,13 +194,33 @@ def objective(problem: DecisionProblem, rule: ChoiceRule, beta: BetaMatrix) -> f
     return eu - _restricted_cost(rule.probs, beta.dense())
 
 
-def _ctilde(P: np.ndarray, L: np.ndarray, B: np.ndarray, Bsum: np.ndarray):
-    """Marginal cost terms c~(i, a) of the first-order conditions."""
-    return -((B @ L) - Bsum[:, None] * L + (B.T @ P) / P)
+def _cost_gradient(P: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
+    """Marginal costs c~(i, a) = dC/dP_ia of a rule with positive entries.
+
+    Column a is the gradient of f(x) = sum_ij beta_ij x_i ln(x_i / x_j) at
+    x = P[:, a]; f is 1-homogeneous, so <c~(., a), P[:, a]> = f(P[:, a]).
+    """
+    L = np.log(P)
+    return Bsum[:, None] * (L + 1.0) - B @ L - (B.T @ P) / P
 
 
-def _residual(qU: np.ndarray, ct: np.ndarray, support: np.ndarray) -> float:
-    R = (qU - ct)[:, support]
+def _cost_hessian(x: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
+    """Hessian of f at x > 0; singular along x itself (H x = 0)."""
+    H = -(B / x[None, :] + B.T / x[:, None])
+    np.fill_diagonal(H, Bsum / x + (B.T @ x) / (x * x))
+    return H
+
+
+def _kkt_step(H: np.ndarray, A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Newton direction d maximizing <g, d> - d'Hd/2 subject to A d = 0."""
+    m = A.shape[0]
+    M = np.block([[H, A.T], [A, np.zeros((m, m))]])
+    return np.linalg.solve(M, np.concatenate([g, np.zeros(m)]))[: H.shape[0]]
+
+
+def _residual(R: np.ndarray) -> float:
+    """Largest spread, over states, of q_i u(a, i) - c~(i, a) across the
+    columns of R."""
     if R.shape[1] <= 1:
         return 0.0
     return float(np.max(R.max(axis=1) - R.min(axis=1)))
@@ -230,21 +243,8 @@ def foc_residual(
             "rule has a zero probability on a supported action"
         )
     B = beta.dense()
-    Bsum = B.sum(axis=1)
     qU = (problem.prior[:, None] * problem.utility.T)[:, support]
-    ct = _ctilde(Q, np.log(Q), B, Bsum)
-    if Q.shape[1] <= 1:
-        return 0.0
-    R = qU - ct
-    return float(np.max(R.max(axis=1) - R.min(axis=1)))
-
-
-def _objective_parts(P, B, qU):
-    L = np.log(P)
-    own = (P * L).sum(axis=1)
-    cost = float(np.sum(B * (own[:, None] - P @ L.T)))
-    eu = float(np.sum(qU * P))
-    return eu, cost
+    return _residual(qU - _cost_gradient(Q, B, B.sum(axis=1)))
 
 
 def solve_llr(
@@ -252,13 +252,36 @@ def solve_llr(
 ) -> SolveResult:
     """Maximize expected utility minus the log-likelihood-ratio cost.
 
-    Mirror ascent on the product of action simplices: every state row takes
-    a multiplicative-weights step along the objective gradient, with one
-    global step size backtracked on the true objective.  The cost's
-    x log x terms push iterates away from the boundary, so the rows stay
-    strictly positive throughout.  Strict concavity (all off-diagonal
-    prices positive) makes the maximizer unique; with zero prices a
-    warning is issued and the result need not be unique.
+    The cost splits over actions, C(P) = sum_a f(P[:, a]) with
+    f(x) = sum_ij beta_ij x_i ln(x_i / x_j) convex and 1-homogeneous, so
+    the objective is sum_a <w_a, P[:, a]> - f(P[:, a]) with
+    w_a = q * u(a, .), and the solve is an active-set method over actions:
+
+    1. Start at the no-information corner of the best uninformed action.
+    2. On the supported columns, take equality-constrained Newton steps
+       (one dense KKT solve each, row sums held at 1), halving the step
+       until it stays positive and the objective, concave along it, has
+       risen or not yet peaked.  A column the full step drives out of the
+       simplex is dropped as exact zeros when dropping it at that boundary
+       does not lower the objective.  More columns than states are
+       linearly dependent; the objective is then linear along a rescaling
+       of the columns, which is followed until one column vanishes.
+    3. Once the first-order residual on the support is within tol, price
+       the states at lam_i = sum_a P_ia (w_a - grad f(P[:, a]))_i and test
+       every excluded action b with v_b = max over the simplex of
+       <w_b - lam, y> - f(y), a damped Newton solve on one n-vector from
+       the uniform point.  By concavity and homogeneity v_b is at most
+       max_i (w_b - lam - grad f(y))_i at any y, and a positive v_b is the
+       objective's slope along mass moved onto b in proportion to y.
+    4. If every test is within tol the rule is optimal: return it as
+       converged.  Otherwise add the action with the largest v_b along its
+       maximiser, by the same halving search, and go back to 2.
+
+    ``iterations`` counts Newton steps, on the support and in the tests,
+    and the rescalings of step 2; ``opts.max_iter`` caps them.  Excluded actions get probability exactly
+    0, so a corner rule costs exactly 0.  With some zero prices a warning
+    is issued: the Newton systems may then be singular and the maximizer
+    need not be unique.
     """
     opts = opts or SolveOptions()
     if beta.states != problem.states:
@@ -272,213 +295,140 @@ def solve_llr(
             stacklevel=2,
         )
     Bsum = B.sum(axis=1)
-    U = problem.utility
-    qU = problem.prior[:, None] * U.T
+    W = problem.prior[:, None] * problem.utility.T  # column a is w_a
+    n, m = W.shape
+    tol = opts.tol
+    it = 0
 
-    # per-row natural scaling: at unit step the scaled mirror update is the
-    # fixed-point map of the first-order conditions themselves
-    top = float(Bsum.max())
-    if top > 0.0:
-        scale = 1.0 / np.maximum(Bsum, 1e-3 * top)[:, None]
-    else:
-        scale = np.ones((B.shape[0], 1))
+    def gains(X, C):
+        # gradient of sum_a <C[:, a], X[:, a]> - f(X[:, a]); by Euler's
+        # identity its inner product with X is that objective itself
+        return C - _cost_gradient(X, B, Bsum)
 
-    def mirror_step(P, L, s):
-        grad = qU - (Bsum[:, None] * (L + 1.0) - B @ L - (B.T @ P) / P)
-        G = grad * scale
-        G -= G.max(axis=1, keepdims=True)
-        Q = P * np.exp(s * G)
-        Q /= Q.sum(axis=1, keepdims=True)
-        Q = np.maximum(Q, 1e-300)
-        return Q / Q.sum(axis=1, keepdims=True)
+    def ascend(X, D, C, value):
+        # the first of X + D, X + D/2, ... that is positive and, the
+        # objective being concave along D, either gains on `value` or has
+        # not passed its peak; None once the step no longer moves X
+        t = 1.0
+        while True:
+            Y = X + t * D
+            if np.array_equal(Y, X):
+                return None
+            if np.all(Y > 0.0):
+                G = gains(Y, C)
+                if np.sum(G * D) >= 0.0 or np.sum(G * Y) > value:
+                    return Y
+            t *= 0.5
 
-    def residual_at(P, L):
-        ct = _ctilde(P, L, B, Bsum)
-        return _residual(qU, ct, P.max(axis=0) > SUPPORT_EPS)
-
-    def newton_polish(P0, budget):
-        # equality-constrained Newton on the supported columns; the cost
-        # is a sum over columns, so its Hessian is block diagonal with one
-        # n x n block per column:
-        #   H_a[i,i] = sum_j beta_ij / mu_i + sum_j beta_ji mu_j / mu_i^2
-        #   H_a[i,j] = -(beta_ij / mu_j + beta_ji / mu_i)
-        # steps keep row sums fixed and are accepted only when the
-        # first-order residual strictly decreases
-        sup = P0.max(axis=0) > SUPPORT_EPS
-        k = int(sup.sum())
-        n = P0.shape[0]
-        if k <= 1 or budget <= 0 or n * k > 1000:
-            return P0, 0, residual_at(P0, np.log(P0))
-        X = np.array(P0[:, sup])
-        nk = n * k
-        A = np.zeros((n, nk))
-        for i in range(n):
-            A[i, i * k : (i + 1) * k] = 1.0
-
-        def res_of(Y):
-            full = np.array(P0)
-            full[:, sup] = Y
-            return residual_at(full, np.log(full))
-
-        used = 0
-        res = res_of(X)
-        while used < budget and res > opts.tol:
-            used += 1
-            Lx = np.log(X)
-            ct = Bsum[:, None] * Lx - B @ Lx - (B.T @ X) / X
-            g = ct + Bsum[:, None] - qU[:, sup]
-            M = np.zeros((nk + n, nk + n))
-            rhs = np.zeros(nk + n)
-            for a in range(k):
-                x = X[:, a]
-                bt = B.T @ x
-                Ha = -(B / x[None, :] + B.T / x[:, None])
-                np.fill_diagonal(Ha, Bsum / x + bt / (x * x))
-                idx = np.arange(n) * k + a
-                M[np.ix_(idx, idx)] = Ha
-                rhs[idx] = -g[:, a]
-            M[nk:, :nk] = A
-            M[:nk, nk:] = A.T
+    def test(c):
+        # bounds lower <= v <= upper on v = max_y <c, y> - f(y) over the
+        # simplex, and the y attaining `lower`
+        nonlocal it
+        C = c[:, None]
+        y = np.full((n, 1), 1.0 / n)
+        while True:
+            g = gains(y, C)
+            lower, upper = float(np.sum(g * y)), float(g.max())
+            if upper <= tol or upper - lower <= tol or it >= opts.max_iter:
+                break
+            it += 1
             try:
-                sol = np.linalg.solve(M, rhs)
+                d = _kkt_step(
+                    _cost_hessian(y[:, 0], B, Bsum), np.ones((1, n)), g[:, 0]
+                )
             except np.linalg.LinAlgError:
                 break
-            dx = sol[:nk].reshape(n, k)
-            t = 1.0
-            neg = dx < 0.0
-            if np.any(neg):
-                t = min(1.0, 0.99 * float(np.min(-X[neg] / dx[neg])))
-            improved = False
-            for _ in range(12):
-                Xt = X + t * dx
-                if np.all(Xt > 0.0):
-                    rt = res_of(Xt)
-                    if rt < res:
-                        X, res = Xt, rt
-                        improved = True
-                        break
-                t *= 0.5
-            if not improved:
+            y_next = ascend(y, d[:, None], C, lower)
+            if y_next is None:
                 break
-        out = np.array(P0)
-        out[:, sup] = X
-        return out, used, res
+            y = y_next
+        return lower, upper, y[:, 0]
 
-    def evict_cols(P, obj, cols):
-        # an action leaving the support decays multiplicatively and would
-        # take thousands of sweeps to become negligible on its own; push
-        # the marked columns out in one move, provided the objective
-        # confirms they were indeed worthless
-        Q = np.array(P)
-        Q[:, cols] = 1e-300
-        Q /= Q.sum(axis=1, keepdims=True)
-        new_eu, new_cost = _objective_parts(Q, B, qU)
-        new_obj = new_eu - new_cost
-        if new_obj >= obj - 1e-11 * (1.0 + abs(obj)):
-            return Q, new_obj
-        return None
-
-    # deterministic utility-tilted interior start
-    T = U.T / (1.0 + float(np.max(np.abs(U))))
-    T = T - T.max(axis=1, keepdims=True)
-    P = np.exp(T)
-    P /= P.sum(axis=1, keepdims=True)
-
-    eu, cost = _objective_parts(P, B, qU)
-    obj = eu - cost
-    prev_obj = -math.inf
-    step = 1.0
-    it = 0
+    cols = [int(np.argmax(W.sum(axis=0)))]
+    X = np.ones((n, 1))
     converged = False
-    gap_min = max(100.0 * opts.tol, 1e-5)
-    rounds = 0
-
-    # alternate monotone mirror ascent with an occasional Newton polish;
-    # ascent makes the global progress and settles the support, Newton
-    # finishes ill-conditioned endgames the multiplicative map would
-    # only close at a linear rate
-    while it < opts.max_iter and not converged:
-        want_polish = False
-        mark = math.inf
-        while it < opts.max_iter:
+    while it < opts.max_iter:
+        C = W[:, cols]
+        G = gains(X, C)
+        value = float(np.sum(G * X))
+        k = len(cols)
+        if k > n:
+            # more columns than states are linearly dependent, and the
+            # Newton system singular; with X t = 0 the objective is linear
+            # along X_a -> X_a (1 + s t_a), f being 1-homogeneous, so move
+            # the way it does not fall until a whole column reaches zero
             it += 1
-            L = np.log(P)
-            ct = _ctilde(P, L, B, Bsum)
-            colmax = P.max(axis=0)
-            res = _residual(qU, ct, colmax > SUPPORT_EPS)
-            if (
-                it > 1
-                and res <= opts.tol
-                and obj - prev_obj <= opts.tol * (1.0 + abs(obj))
-            ):
-                converged = True
+            t = np.linalg.svd(X)[2][-1]
+            if np.dot(t, np.sum(G * X, axis=0)) < 0.0:
+                t = -t
+            a = int(np.argmin(t))
+            X = np.delete(X * (1.0 - t / t[a]), a, axis=1)
+            X /= X.sum(axis=1, keepdims=True)
+            del cols[a]
+            continue
+        if _residual(G) > tol:
+            it += 1
+            H = np.zeros((n * k, n * k))
+            for a in range(k):
+                H[a * n : (a + 1) * n, a * n : (a + 1) * n] = _cost_hessian(
+                    X[:, a], B, Bsum
+                )
+            try:
+                D = _kkt_step(H, np.tile(np.eye(n), k), G.T.ravel())
+            except np.linalg.LinAlgError:
                 break
-            # eviction candidates, checked every sweep: columns that are
-            # already negligible (their ragged log ratios pollute the
-            # gradient and throttle the line search), and small columns
-            # dominated at first order in every state (strictly
-            # everywhere, clearly in at least one), which would otherwise
-            # crawl toward zero for thousands of sweeps
-            live = colmax > 1e-250
-            R = np.where((colmax > SUPPORT_EPS)[None, :], qU - ct, -np.inf)
-            gap = R.max(axis=1, keepdims=True) - (qU - ct)
-            dominated = np.all(gap > 0.0, axis=0) & (gap.max(axis=0) > gap_min)
-            cols = live & ((colmax < 1e-7) | ((colmax < 1e-2) & dominated))
-            if np.any(cols):
-                got = evict_cols(P, obj, cols)
-                if got is not None:
-                    P, obj = got
-                    prev_obj = -math.inf
-                    mark = math.inf
+            D = D.reshape(k, n).T
+            reach = np.full_like(X, np.inf)
+            neg = D < 0.0
+            reach[neg] = X[neg] / -D[neg]
+            i, a = np.unravel_index(np.argmin(reach), reach.shape)
+            if reach[i, a] <= 1.0:
+                Z = np.delete(X + reach[i, a] * D, a, axis=1)
+                Z /= Z.sum(axis=1, keepdims=True)
+                if np.all(Z > 0.0) and np.sum(
+                    gains(Z, np.delete(C, a, axis=1)) * Z
+                ) >= value:
+                    X = Z
+                    del cols[a]
                     continue
-            # a residual that has not even halved over the last 256 sweeps
-            # marks a linear-rate tail worth handing to the polish
-            if it % 256 == 0:
-                if res <= 1e-2 and res > 0.5 * mark:
-                    want_polish = True
-                    break
-                mark = res
-            s = step
-            accepted = False
-            while s >= _STEP_MIN:
-                Q = mirror_step(P, L, s)
-                new_eu, new_cost = _objective_parts(Q, B, qU)
-                new_obj = new_eu - new_cost
-                if new_obj >= obj:
-                    accepted = True
-                    break
-                s *= 0.5
-            if not accepted or new_obj == obj:
-                # objective exhausted at float resolution
-                want_polish = True
+            step = ascend(X, D, C, value)
+            if step is None:
                 break
-            prev_obj = obj
-            P = Q
-            obj = new_obj
-            step = min(s * 1.25, _STEP_MAX)
-        if converged or not want_polish:
-            break
-        rounds += 1
-        if rounds > 8:
-            break
-        P, used, res = newton_polish(P, min(60, opts.max_iter - it))
-        it += used
-        eu, cost = _objective_parts(P, B, qU)
-        obj = eu - cost
-        prev_obj = -math.inf
-        if res <= opts.tol:
+            X = step
+            continue
+        lam = np.sum(X * G, axis=1)
+        tests = {b: test(W[:, b] - lam) for b in range(m) if b not in cols}
+        if all(upper <= tol for _, upper, _ in tests.values()):
             converged = True
+            break
+        b = max(tests, key=lambda b: tests[b][0])
+        lower, _, y = tests[b]
+        if lower <= 0.0:
+            break
+        step = ascend(
+            np.column_stack([X, np.zeros(n)]),
+            np.column_stack([-X * y[:, None], y]),
+            np.column_stack([C, W[:, b]]),
+            value,
+        )
+        if step is None:
+            break
+        X = step
+        cols.append(b)
 
-    eu, cost = _objective_parts(P, B, qU)
-    res = residual_at(P, np.log(P))
+    P = np.zeros((n, m))
+    P[:, cols] = X
+    eu = float(np.sum(W * P))
+    cost = _restricted_cost(P, B)
+    G = gains(X, W[:, cols])
     return SolveResult(
         rule=ChoiceRule(P),
         objective=eu - cost,
         cost=cost,
         expected_utility=eu,
-        foc_residual=res,
+        foc_residual=_residual(G[:, X.max(axis=0) > SUPPORT_EPS]),
         iterations=it,
-        converged=converged and res <= opts.tol,
+        converged=converged,
     )
 
 

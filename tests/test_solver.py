@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rand_problem, rand_rule
+from conftest import rand_beta, rand_problem, rand_rule
 from infocost import (
     BetaMatrix,
     ChoiceRule,
@@ -31,6 +31,7 @@ from infocost import (
     llr_cost,
     mutual_information_cost,
     objective,
+    one_dimensional_betas,
     perception_problem,
     problem_from_json,
     problem_to_json,
@@ -53,6 +54,19 @@ def _matching_problem(payoff=1.0):
     states = StateSpace(("s0", "s1"))
     u = np.array([[payoff, 0.0], [0.0, payoff]])
     return DecisionProblem(states, ("a0", "a1"), u, np.array([0.5, 0.5]))
+
+
+def _solved_corpus(seed, lo, hi):
+    """Criterion 06's draw: 100 random problems with prices in [lo, hi],
+    each solved at the default tolerance, and the generator left to draw
+    their rivals."""
+    rng = Xoshiro256(seed)
+    solved = []
+    for _ in range(100):
+        problem = rand_problem(rng, rng.randint(2, 5), rng.randint(2, 4))
+        beta = rand_beta(rng, problem.states, lo=lo, hi=hi)
+        solved.append((problem, beta, solve_llr(problem, beta)))
+    return solved, rng
 
 
 def _matching_oracle(b, target):
@@ -343,6 +357,51 @@ class TestSolveLLR:
         beta = constant_betas(StateSpace(("x", "y")), 1.0)
         with pytest.raises(StateSpaceMismatch):
             solve_llr(problem, beta)
+
+    def test_interior_optimum_corpus(self):
+        # prices 100 times below criterion 06's make most optima interior;
+        # draws 29, 41 and 42 have two-action optima that a solver can stop
+        # short of, or miss for a nearby corner (at draw 29 the corner's
+        # test for action a1 is only +0.0089)
+        solved, rng = _solved_corpus(7, 0.005, 0.05)
+        for problem, beta, res in solved:
+            assert res.converged
+            assert foc_residual(problem, beta, res.rule) <= 1e-6
+            for _ in range(30):
+                rule = rand_rule(rng, problem.n_states, problem.n_actions)
+                assert objective(problem, rule, beta) <= res.objective + 1e-7
+        for draw, want in ((29, 1.3160520), (41, 1.3700500), (42, 1.4415117)):
+            res = solved[draw][2]
+            assert res.objective == pytest.approx(want, abs=1e-7)
+            assert np.count_nonzero(res.rule.probs.max(axis=0)) == 2
+
+    def test_quadratic_loss_grids_converge(self):
+        actions = np.linspace(0.0, 1.0, 10)
+        for n in (15, 25, 50, 200):
+            v = np.linspace(0.0, 1.0, n)
+            states = StateSpace(tuple(f"s{i}" for i in range(n)), v)
+            problem = DecisionProblem(
+                states,
+                tuple(f"a{j}" for j in range(10)),
+                -((actions[:, None] - v[None, :]) ** 2),
+                np.full(n, 1.0 / n),
+            )
+            beta = one_dimensional_betas(states, 1.0)
+            res = solve_llr(problem, beta, SolveOptions(tol=1e-8))
+            assert res.converged and res.foc_residual <= 1e-8
+            support = np.flatnonzero(res.rule.probs.max(axis=0))
+            assert support.tolist() == [4, 5]
+            if n == 50:
+                assert res.objective == pytest.approx(-0.0897741, abs=1e-7)
+
+    def test_no_ghost_entries_or_negative_costs(self):
+        solved, _ = _solved_corpus(606, 0.05, 5.0)
+        for _, _, res in solved:
+            P = res.rule.probs
+            assert res.cost >= 0.0
+            assert not np.any((P > 0.0) & (P < 1e-200))
+            if np.count_nonzero(P.max(axis=0)) == 1:
+                assert res.cost == 0.0
 
     def test_result_dict_layout(self):
         problem = _matching_problem()
