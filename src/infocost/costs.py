@@ -36,11 +36,10 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
-    ENTRY_FLOOR,
-    ROW_SUM_TOL,
     Experiment,
     LLRDistribution,
     StateSpace,
+    _check_prob_matrix,
     posterior_distribution,
 )
 
@@ -225,12 +224,7 @@ def _full_support_row(p, n: int, what: str, error=NotFullSupport) -> np.ndarray:
     p = np.asarray(p, dtype=float).ravel()
     if p.size != n:
         raise DimensionMismatch(f"{what}: length {p.size}, expected {n}")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError(f"{what}: non-finite entry")
-    if np.any(p <= ENTRY_FLOOR):
-        raise error(f"{what}: needs full support above {ENTRY_FLOOR:g}")
-    if abs(float(p.sum()) - 1.0) > ROW_SUM_TOL:
-        raise ValidationError(f"{what}: sums to {float(p.sum())!r}")
+    _check_prob_matrix(p, what, error)
     return p
 
 

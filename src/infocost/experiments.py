@@ -47,29 +47,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_prob_matrix(probs: np.ndarray, what: str) -> None:
+def _check_prob_matrix(probs: np.ndarray, what: str, error=NonPositiveEntry) -> None:
+    """Reject a probability row, or matrix of rows, that is not finite,
+    strictly positive above ENTRY_FLOOR (else `error`) and normalised."""
     if not np.all(np.isfinite(probs)):
         raise ValidationError(f"{what}: non-finite entry")
     if np.any(probs <= ENTRY_FLOOR):
-        i, j = np.argwhere(probs <= ENTRY_FLOOR)[0]
-        raise NonPositiveEntry(
-            f"{what}: entry ({i},{j}) = {probs[i, j]:g} is at or below the "
+        at = np.argwhere(probs <= ENTRY_FLOOR)[0]
+        where = ",".join(map(str, at))
+        raise error(
+            f"{what}: entry ({where}) = {probs[tuple(at)]:g} is at or below the "
             f"positivity floor {ENTRY_FLOOR:g}"
         )
-    sums = probs.sum(axis=1)
+    sums = np.atleast_1d(probs.sum(axis=-1))
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if np.any(bad):
         i = int(np.argmax(bad))
         raise RowSumViolation(f"{what}: row {i} sums to {float(sums[i])!r}")
-
-
-def _check_prob_row(row: np.ndarray, what: str, error=NonPositiveEntry) -> None:
-    if not np.all(np.isfinite(row)):
-        raise ValidationError(f"{what}: non-finite entry")
-    if np.any(row <= ENTRY_FLOOR):
-        raise error(f"{what}: entry at or below the positivity floor")
-    if abs(float(row.sum()) - 1.0) > ROW_SUM_TOL:
-        raise RowSumViolation(f"{what}: sums to {float(row.sum())!r}")
 
 
 @dataclass(frozen=True)
@@ -256,8 +250,8 @@ def kl_divergence(p, q) -> float:
     q = np.asarray(q, dtype=float).ravel()
     if p.shape != q.shape:
         raise DimensionMismatch(f"length {p.size} vs {q.size}")
-    _check_prob_row(p, "kl first argument")
-    _check_prob_row(q, "kl second argument")
+    _check_prob_matrix(p, "kl first argument")
+    _check_prob_matrix(q, "kl second argument")
     return float(np.dot(p, np.log(p / q)))
 
 
@@ -268,7 +262,7 @@ def posterior_distribution(mu: Experiment, prior) -> list[tuple[np.ndarray, floa
         raise DimensionMismatch(
             f"prior length {prior.size} for {mu.n_states} states"
         )
-    _check_prob_row(prior, "prior", error=PriorNotFullSupport)
+    _check_prob_matrix(prior, "prior", PriorNotFullSupport)
     joint = prior[:, None] * mu.probs
     marginals = joint.sum(axis=0)
     posteriors = joint / marginals
@@ -286,23 +280,36 @@ def _merge_point_rows(
     Points are sorted lexicographically first, so the output order is
     canonical; each group is represented by the plain mean of its members.
     A row joins the current group when it lies within tol of the group's
-    first member, so groups never chain beyond 2 tol per component.
-    `weights` has one column per point and any number of rows.
+    first member (its anchor), so groups never chain beyond 2 tol per
+    component.  `weights` has one column per point and any number of rows.
+
+    Every anchor precedes its members in the sort, so its first coordinate
+    is no larger than theirs: a first-coordinate gap above tol between
+    neighbouring rows always starts a new group.  Those gaps cut the rows
+    into segments, and a segment whose rows all lie within tol of its first
+    row is exactly one group.  Only the other segments need the sequential
+    anchor walk.
     """
     k = points.shape[0]
     order = np.lexsort(points.T[::-1])
     sorted_points = points[order]
-    # plain-float tuples keep the sequential anchor walk off the numpy
-    # scalar path; repeated convolutions push k into the tens of thousands
-    rows = [tuple(r) for r in sorted_points.tolist()]
-    starts = [0]
-    anchor = rows[0]
-    for s in range(1, k):
-        r = rows[s]
-        if any(abs(a - x) > tol for a, x in zip(anchor, r)):
-            starts.append(s)
-            anchor = r
-    idx = np.array(starts)
+    # True at each group start: first the segment starts, then the walk's
+    starts = np.empty(k, dtype=bool)
+    starts[0] = True
+    np.greater(np.diff(sorted_points[:, 0]), tol, out=starts[1:])
+    seg = np.flatnonzero(starts)
+    ends = np.append(seg[1:], k)
+    spread = np.abs(sorted_points - np.repeat(sorted_points[seg], ends - seg, axis=0))
+    one_group = np.maximum.reduceat(spread.max(axis=1), seg) <= tol
+    for lo, hi in zip(seg[~one_group].tolist(), ends[~one_group].tolist()):
+        # plain floats keep the walk off the numpy scalar path
+        rows = sorted_points[lo:hi].tolist()
+        anchor = rows[0]
+        for s in range(1, hi - lo):
+            if any(abs(a - x) > tol for a, x in zip(anchor, rows[s])):
+                starts[lo + s] = True
+                anchor = rows[s]
+    idx = np.flatnonzero(starts)
     counts = np.diff(np.append(idx, k))
     merged_points = np.add.reduceat(sorted_points, idx, axis=0) / counts[:, None]
     merged_weights = np.add.reduceat(weights[:, order], idx, axis=1)

@@ -272,6 +272,24 @@ class TestPosteriorRoute:
             want, abs=1e-12
         )
 
+    def test_potential_rejects_bad_rows_by_class(self):
+        from infocost.errors import (
+            NotFullSupport,
+            PriorNotFullSupport,
+            RowSumViolation,
+        )
+
+        beta = constant_betas(StateSpace(("a", "b")), 1.0)
+        with pytest.raises(PriorNotFullSupport):
+            posterior_separable_value(beta, (1.0, 0.0), (0.5, 0.5))
+        with pytest.raises(NotFullSupport) as exc:
+            posterior_separable_value(beta, (0.5, 0.5), (1.0, 0.0))
+        assert not isinstance(exc.value, PriorNotFullSupport)
+        with pytest.raises(RowSumViolation):
+            posterior_separable_value(beta, (0.5, 0.5), (0.5, 0.6))
+        with pytest.raises(DimensionMismatch):
+            posterior_separable_value(beta, (0.5, 0.5), (0.2, 0.3, 0.5))
+
 
 class TestMutualInformationCost:
     def test_hand_computed_binary_value(self):

@@ -50,6 +50,7 @@ from infocost.errors import (
     StateSpaceMismatch,
     ValidationError,
 )
+from infocost.experiments import LLR_MERGE_TOL, _merge_point_rows
 
 LN4 = math.log(4.0)
 
@@ -167,6 +168,15 @@ class TestKLDivergence:
     @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     def test_nonnegative(self, a, b):
         assert kl_divergence([a, 1 - a], [b, 1 - b]) >= 0.0
+
+    def test_rejects_bad_rows_by_class(self):
+        good = [0.5, 0.5]
+        with pytest.raises(NonPositiveEntry):
+            kl_divergence([1.0, 0.0], good)
+        with pytest.raises(RowSumViolation):
+            kl_divergence(good, [0.5, 0.6])
+        with pytest.raises(ValidationError):
+            kl_divergence([float("nan"), 1.0], good)
 
 
 class TestProduct:
@@ -369,6 +379,103 @@ class TestLLRDistribution:
             assert llr_cost_from_distribution(
                 llr_distribution(mu), beta
             ) == pytest.approx(llr_cost(mu, beta), rel=1e-12)
+
+
+def _walk_merge(points, weights, tol):
+    """The anchor walk over every sorted row: the reference the segmented
+    merge must reproduce bit for bit."""
+    k = points.shape[0]
+    order = np.lexsort(points.T[::-1])
+    sorted_points = points[order]
+    rows = [tuple(r) for r in sorted_points.tolist()]
+    starts = [0]
+    anchor = rows[0]
+    for s in range(1, k):
+        r = rows[s]
+        if any(abs(a - x) > tol for a, x in zip(anchor, r)):
+            starts.append(s)
+            anchor = r
+    idx = np.array(starts)
+    counts = np.diff(np.append(idx, k))
+    merged_points = np.add.reduceat(sorted_points, idx, axis=0) / counts[:, None]
+    merged_weights = np.add.reduceat(weights[:, order], idx, axis=1)
+    return merged_points, merged_weights
+
+
+def _first_coordinate_segments(points, tol):
+    """Number of runs cut by first-coordinate gaps above tol."""
+    first = np.sort(points[:, 0])
+    return 1 + int(np.count_nonzero(np.diff(first) > tol))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMergePointRows:
+    """Rows group with the first row of their group (the anchor) in
+    lexicographic order.  Each case below has a run of rows, unbroken by
+    first-coordinate gaps above tol, that is not a single group."""
+
+    def test_chain_on_one_axis_splits_at_the_anchor(self):
+        tol = LLR_MERGE_TOL
+        # input order 1.2, 0, 1.8, 0.6 (times tol); dyadic weights add exactly
+        points = np.array([[1.2], [0.0], [1.8], [0.6]]) * tol
+        weights = np.array([[0.25, 0.125, 0.5, 0.125], [0.125, 0.5, 0.125, 0.25]])
+        merged_points, merged_weights = _merge_point_rows(points, weights, tol)
+        # {0, 0.6} and {1.2, 1.8}: 1.2 is beyond tol of the anchor 0, although
+        # every neighbouring gap is 0.6 tol
+        np.testing.assert_allclose(merged_points, [[0.3 * tol], [1.5 * tol]], rtol=1e-14)
+        np.testing.assert_array_equal(merged_weights, [[0.25, 0.75], [0.75, 0.25]])
+
+    def test_equal_first_coordinates_group_by_the_second(self):
+        tol = LLR_MERGE_TOL
+        points = np.array([[0.0, 3.0], [0.0, 0.0], [0.0, 3.5], [0.0, 0.5]]) * tol
+        weights = np.array([[0.125, 0.25, 0.5, 0.125]])
+        merged_points, merged_weights = _merge_point_rows(points, weights, tol)
+        np.testing.assert_allclose(
+            merged_points, [[0.0, 0.25 * tol], [0.0, 3.25 * tol]], rtol=1e-14
+        )
+        np.testing.assert_array_equal(merged_weights, [[0.375, 0.625]])
+
+    def test_clusters_interleaved_by_the_sort_stay_apart(self):
+        tol = LLR_MERGE_TOL
+        # two clusters near (0, 0) and (0, 3 tol); sorted by first coordinate
+        # their rows alternate, and each row breaks from the previous anchor
+        points = np.array([[0.5, 3.2], [0.0, 0.0], [0.5, 0.2], [0.0, 3.0]]) * tol
+        weights = np.array([[0.125, 0.25, 0.5, 0.125]])
+        merged_points, merged_weights = _merge_point_rows(points, weights, tol)
+        np.testing.assert_array_equal(merged_points, points[[1, 3, 2, 0]])
+        np.testing.assert_array_equal(merged_weights, [[0.25, 0.125, 0.5, 0.125]])
+
+    def test_bitwise_equal_to_the_walk_on_convolve_inputs(self):
+        rng = Xoshiro256(18)
+        walked = clean = 0
+        for _ in range(25):
+            states = rand_states(rng, rng.randint(2, 4))
+            da = llr_distribution(rand_experiment(rng, states, rng.randint(2, 5)))
+            db = llr_distribution(rand_experiment(rng, states, rng.randint(2, 5)))
+            ka, kb = da.n_atoms, db.n_atoms
+            points = (da.atoms[:, None, :] + db.atoms[None, :, :]).reshape(ka * kb, -1)
+            weights = (da.weights[:, :, None] * db.weights[:, None, :]).reshape(
+                states.n, ka * kb
+            )
+            # the merge tolerance, and coarser ones under which atoms chain
+            for tol in (LLR_MERGE_TOL, 0.02, 0.1, 0.4):
+                jitter = np.array(
+                    [[rng.uniform_in(-0.4, 0.4) * tol for _ in row] for row in points]
+                )
+                for pts in (points, points + jitter):
+                    got = _merge_point_rows(pts, weights, tol)
+                    want = _walk_merge(pts, weights, tol)
+                    assert _same_bits(got[0], want[0])
+                    assert _same_bits(got[1], want[1])
+                    if want[0].shape[0] > _first_coordinate_segments(pts, tol):
+                        walked += 1
+                    else:
+                        clean += 1
+        # the corpus reaches both the vectorised path and the walk
+        assert walked > 0 and clean > 0
 
 
 def _abs_moment_profile(mu):
