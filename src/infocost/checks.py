@@ -15,7 +15,7 @@ itself gets tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .cumulants import (
 )
 from .costs import (
     BetaMatrix,
-    constant_betas,
     kl_matrix,
     llr_cost,
     llr_cost_via_posteriors,
@@ -63,6 +62,16 @@ class PropertyResult:
         return self.max_deviation <= self.bound
 
 
+def _rand_rows(rng: Xoshiro256, n: int, m: int, floor: float) -> np.ndarray:
+    """n rows of m draws from [floor, 1), drawn row by row, each normalised.
+
+    The one body behind every seeded experiment, garbling, prior and rule,
+    here and in the test suite.
+    """
+    rows = np.array([[rng.uniform_in(floor, 1.0) for _ in range(m)] for _ in range(n)])
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 def _rand_states(rng: Xoshiro256, n: int) -> StateSpace:
     return StateSpace(tuple(f"s{i}" for i in range(n)))
 
@@ -71,14 +80,12 @@ def _rand_experiment(
     rng: Xoshiro256, states: StateSpace, max_signals: int = 5
 ) -> Experiment:
     m = rng.randint(2, max_signals)
-    raw = np.array(
-        [[rng.uniform_in(0.05, 1.0) for _ in range(m)] for _ in range(states.n)]
-    )
-    raw /= raw.sum(axis=1, keepdims=True)
-    return Experiment(states, tuple(range(m)), raw)
+    return Experiment(states, tuple(range(m)), _rand_rows(rng, states.n, m, 0.05))
 
 
 def _rand_beta(rng: Xoshiro256, states: StateSpace) -> BetaMatrix:
+    # draws the diagonal too, unlike the tests' rand_beta, so the two
+    # seeded sequences differ and stay two functions
     n = states.n
     coef = np.array(
         [[rng.uniform_in(0.05, 2.0) for _ in range(n)] for _ in range(n)]
@@ -88,16 +95,22 @@ def _rand_beta(rng: Xoshiro256, states: StateSpace) -> BetaMatrix:
 
 
 def _rand_garbling(rng: Xoshiro256, m_in: int, m_out: int) -> GarblingMatrix:
-    raw = np.array(
-        [[rng.uniform_in(0.01, 1.0) for _ in range(m_out)] for _ in range(m_in)]
-    )
-    raw /= raw.sum(axis=1, keepdims=True)
-    return GarblingMatrix(raw)
+    return GarblingMatrix(_rand_rows(rng, m_in, m_out, 0.01))
 
 
 def _rand_prior(rng: Xoshiro256, n: int) -> np.ndarray:
-    raw = np.array([rng.uniform_in(0.1, 1.0) for _ in range(n)])
-    return raw / raw.sum()
+    return _rand_rows(rng, 1, n, 0.1)[0]
+
+
+def _rand_distribution(
+    rng: Xoshiro256, dim: int, amplitude: float = 1.0, floor: float = 0.1
+) -> FiniteDistribution:
+    """2 to 4 atoms in [-amplitude, amplitude)^dim, weights from floor up."""
+    k = rng.randint(2, 4)
+    pts = np.array(
+        [[rng.uniform_in(-amplitude, amplitude) for _ in range(dim)] for _ in range(k)]
+    )
+    return finite_distribution(pts, _rand_rows(rng, 1, k, floor)[0])
 
 
 def _product_additivity(rng: Xoshiro256, trials: int, hook) -> PropertyResult:
@@ -191,15 +204,6 @@ def _garbling_dominance(rng: Xoshiro256, trials: int, hook) -> PropertyResult:
         if not blackwell_dominates(mu, nu):
             worst = 1.0
     return PropertyResult("garbling_dominance", trials, worst, 0.5)
-
-
-def _rand_distribution(rng: Xoshiro256, dim: int) -> FiniteDistribution:
-    k = rng.randint(2, 4)
-    pts = np.array(
-        [[rng.uniform_in(-1.0, 1.0) for _ in range(dim)] for _ in range(k)]
-    )
-    w = np.array([rng.uniform_in(0.1, 1.0) for _ in range(k)])
-    return finite_distribution(pts, w / w.sum())
 
 
 def _cumulant_additivity(rng: Xoshiro256, trials: int, hook) -> PropertyResult:

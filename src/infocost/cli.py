@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .checks import run_suite
-from .costs import beta_from_json, kl_matrix, llr_cost, llr_cost_via_posteriors
+from .costs import beta_from_json, kl_matrix, llr_cost_via_posteriors
 from .errors import ValidationError
 from .experiments import experiment_from_json
 from .reproduce import reproduce_rows
@@ -64,9 +64,9 @@ def _parse_prior(text: str) -> np.ndarray:
 def _cmd_cost(args) -> int:
     mu = experiment_from_json(_load_json(args.experiment))
     beta = beta_from_json(_load_json(args.beta), states=mu.states)
-    cost = llr_cost(mu, beta)
     kl = kl_matrix(mu)
     coef = beta.dense()
+    cost = float(np.sum(coef * kl))  # llr_cost(mu, beta), reusing kl
     report = {"cost": cost}
     if args.prior is not None:
         prior = _parse_prior(args.prior)

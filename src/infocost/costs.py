@@ -27,7 +27,6 @@ from .errors import (
     EpsilonOutOfRange,
     IncompleteInput,
     MissingValues,
-    NotFullSupport,
     POutOfRange,
     PriorNotFullSupport,
     SigmaNonPositive,
@@ -39,7 +38,7 @@ from .experiments import (
     Experiment,
     LLRDistribution,
     StateSpace,
-    _check_prob_matrix,
+    _full_support_row,
     posterior_distribution,
 )
 
@@ -146,15 +145,30 @@ def constant_betas(states: StateSpace, value: float) -> BetaMatrix:
     return BetaMatrix(states, coef)
 
 
-def kl_matrix(mu: Experiment) -> np.ndarray:
-    """D[i, j] = KL(row i || row j) for every ordered state pair."""
-    P = mu.probs
-    L = np.log(P)
+def _kl_rows(P: np.ndarray) -> np.ndarray:
+    """D[i, j] = KL(P[i] || P[j]) for the rows of a non-negative row matrix.
+
+    All-zero columns are dropped first.  A zero entry counts 0 ln 0 = 0, and
+    D[i, j] is inf where row i puts mass on a column that row j does not.
+    """
+    pos = P > 0.0
+    if pos.all():
+        L = np.log(P)
+    else:
+        keep = pos.any(axis=0)
+        P, pos = P[:, keep], pos[:, keep]
+        L = np.log(np.where(pos, P, 1.0))
     own = (P * L).sum(axis=1)
-    cross = P @ L.T  # cross[i, j] = sum_s P[i,s] ln P[j,s]
-    D = own[:, None] - cross
+    D = own[:, None] - P @ L.T  # (P @ L.T)[i, j] = sum_s P[i,s] ln P[j,s]
+    if not pos.all():
+        D[pos @ ~pos.T] = np.inf
     np.fill_diagonal(D, 0.0)
     return D
+
+
+def kl_matrix(mu: Experiment) -> np.ndarray:
+    """D[i, j] = KL(row i || row j) for every ordered state pair."""
+    return _kl_rows(mu.probs)
 
 
 def llr_cost(mu: Experiment, beta: BetaMatrix) -> float:
@@ -218,14 +232,6 @@ def mutual_information_cost(mu: Experiment, prior, lam: float = 1.0) -> float:
     pairs = posterior_distribution(mu, prior)
     expected = sum(m * _entropy(post) for post, m in pairs)
     return lam * (_entropy(prior) - expected)
-
-
-def _full_support_row(p, n: int, what: str, error=NotFullSupport) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size != n:
-        raise DimensionMismatch(f"{what}: length {p.size}, expected {n}")
-    _check_prob_matrix(p, what, error)
-    return p
 
 
 def posterior_separable_value(beta: BetaMatrix, prior, p) -> float:

@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     IncompleteInput,
     ValidationError,
 )
-from .experiments import LLRDistribution, _merge_point_rows
+from .experiments import LLRDistribution, _check_prob_matrix, _merge_point_rows
 
 MultiIndex = tuple[int, ...]
 
@@ -78,10 +78,7 @@ class FiniteDistribution:
             raise ValidationError("empty distribution")
         if not np.all(np.isfinite(atoms)):
             raise ValidationError("non-finite atom")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise ValidationError("weights must be finite and non-negative")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValidationError(f"weights sum to {float(weights.sum())!r}")
+        _check_prob_matrix(weights, "weights", positive=False)
         if len({tuple(row) for row in atoms}) != atoms.shape[0]:
             raise ValidationError("duplicate atoms")
         atoms = atoms.copy()

@@ -28,6 +28,7 @@ from .errors import (
     DuplicateValues,
     InfoCostError,
     NonPositiveEntry,
+    NotFullSupport,
     PriorNotFullSupport,
     RowSumViolation,
     StateSpaceMismatch,
@@ -47,23 +48,41 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_prob_matrix(probs: np.ndarray, what: str, error=NonPositiveEntry) -> None:
-    """Reject a probability row, or matrix of rows, that is not finite,
-    strictly positive above ENTRY_FLOOR (else `error`) and normalised."""
-    if not np.all(np.isfinite(probs)):
-        raise ValidationError(f"{what}: non-finite entry")
-    if np.any(probs <= ENTRY_FLOOR):
-        at = np.argwhere(probs <= ENTRY_FLOOR)[0]
+def _check_prob_matrix(
+    probs: np.ndarray, what: str, error=NonPositiveEntry, positive: bool = True
+) -> None:
+    """Reject a probability row, or matrix of rows, with a bad entry
+    (`error`) or a row that does not sum to 1 (RowSumViolation).
+
+    Entries must be finite and above ENTRY_FLOOR or, when not `positive`,
+    non-negative; an infinite entry then fails the row sum.  NaN fails
+    every comparison.
+    """
+    if positive:
+        ok = np.isfinite(probs) & (probs > ENTRY_FLOOR)
+        bound = f"finite and above the floor {ENTRY_FLOOR:g}"
+    else:
+        ok = probs >= 0.0
+        bound = "non-negative"
+    if not ok.all():
+        at = np.argwhere(~ok)[0]
         where = ",".join(map(str, at))
-        raise error(
-            f"{what}: entry ({where}) = {probs[tuple(at)]:g} is at or below the "
-            f"positivity floor {ENTRY_FLOOR:g}"
-        )
+        raise error(f"{what}: entry ({where}) = {probs[tuple(at)]:g} is not {bound}")
     sums = np.atleast_1d(probs.sum(axis=-1))
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if np.any(bad):
         i = int(np.argmax(bad))
         raise RowSumViolation(f"{what}: row {i} sums to {float(sums[i])!r}")
+
+
+def _full_support_row(p, n: int, what: str, error=NotFullSupport) -> np.ndarray:
+    """A copy of `p` as a float vector, checked to have length n, full
+    support above ENTRY_FLOOR (else `error`) and sum 1."""
+    p = np.array(p, dtype=float).ravel()
+    if p.size != n:
+        raise DimensionMismatch(f"{what}: length {p.size}, expected {n}")
+    _check_prob_matrix(p, what, error)
+    return p
 
 
 @dataclass(frozen=True)
@@ -180,14 +199,7 @@ class GarblingMatrix:
     def __post_init__(self):
         probs = _freeze(np.atleast_2d(np.asarray(self.probs, dtype=float)))
         object.__setattr__(self, "probs", probs)
-        if not np.all(np.isfinite(probs)):
-            raise ValidationError("garbling: non-finite entry")
-        if np.any(probs < 0):
-            raise NonPositiveEntry("garbling: negative entry")
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            i = int(np.argmax(np.abs(sums - 1.0)))
-            raise RowSumViolation(f"garbling: row {i} sums to {float(sums[i])!r}")
+        _check_prob_matrix(probs, "garbling", positive=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -257,12 +269,7 @@ def kl_divergence(p, q) -> float:
 
 def posterior_distribution(mu: Experiment, prior) -> list[tuple[np.ndarray, float]]:
     """Bayesian posteriors and signal marginals, one pair per signal."""
-    prior = np.asarray(prior, dtype=float).ravel()
-    if prior.size != mu.n_states:
-        raise DimensionMismatch(
-            f"prior length {prior.size} for {mu.n_states} states"
-        )
-    _check_prob_matrix(prior, "prior", PriorNotFullSupport)
+    prior = _full_support_row(prior, mu.n_states, "prior", PriorNotFullSupport)
     joint = prior[:, None] * mu.probs
     marginals = joint.sum(axis=0)
     posteriors = joint / marginals
@@ -275,13 +282,16 @@ def posterior_distribution(mu: Experiment, prior) -> list[tuple[np.ndarray, floa
 def _merge_point_rows(
     points: np.ndarray, weights: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Group rows of `points` equal within componentwise tol; sum weights.
+    """Group the lexicographically sorted rows of `points`; sum weights.
 
-    Points are sorted lexicographically first, so the output order is
-    canonical; each group is represented by the plain mean of its members.
-    A row joins the current group when it lies within tol of the group's
-    first member (its anchor), so groups never chain beyond 2 tol per
-    component.  `weights` has one column per point and any number of rows.
+    Walking the sorted rows, a row joins the current group when it lies
+    within componentwise tol of the group's first member (its anchor), and
+    starts a new group otherwise.  So every member lies within tol of its
+    anchor and groups never chain beyond 2 tol per component, but rows
+    within tol of each other stay apart when the sort puts a row of another
+    group between them.  Each group is represented, in sorted order, by the
+    plain mean of its members.  `weights` has one column per point and any
+    number of rows.
 
     Every anchor precedes its members in the sort, so its first coordinate
     is no larger than theirs: a first-coordinate gap above tol between
@@ -344,11 +354,7 @@ class LLRDistribution:
             )
         if not np.all(np.isfinite(atoms)):
             raise ValidationError("non-finite atom")
-        if np.any(weights < 0):
-            raise NonPositiveEntry("negative atom weight")
-        sums = weights.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            raise RowSumViolation("weight rows must sum to 1")
+        _check_prob_matrix(weights, "atom weights", positive=False)
 
     @property
     def n_atoms(self) -> int:
@@ -362,9 +368,11 @@ class LLRDistribution:
 def llr_distribution(mu: Experiment) -> LLRDistribution:
     """Distribution of the LLR vector, with coinciding signals merged.
 
-    Signals whose LLR vectors agree within componentwise 1e-12 collapse to a
-    single atom; the merged representation is canonical, so two experiments
-    that are equally informative produce identical output.
+    Signals are merged by `_merge_point_rows` at componentwise tolerance
+    1e-12: each atom gathers signals whose LLR vectors lie within 1e-12 of
+    its lexicographically first one, and atoms come out in lexicographic
+    order.  Vectors within 1e-12 of each other can still give two atoms
+    when the sort puts another signal's vector between them.
     """
     xi = np.log(mu.probs[1:] / mu.probs[0]).T  # one row per signal
     atoms, weights = _merge_point_rows(xi, mu.probs, LLR_MERGE_TOL)

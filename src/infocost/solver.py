@@ -17,18 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import BetaMatrix, inverse_square_betas
+from .costs import BetaMatrix, _kl_rows, inverse_square_betas
 from .errors import (
     DimensionMismatch,
     DuplicateValues,
     NonConcaveWarning,
     PriorNotFullSupport,
-    RowSumViolation,
     StateSpaceMismatch,
     ValidationError,
     ZeroProbabilityOnSupport,
 )
-from .experiments import ENTRY_FLOOR, ROW_SUM_TOL, StateSpace
+from .experiments import StateSpace, _check_prob_matrix, _full_support_row
 
 # an action is out of support when its probability is below this in every state
 SUPPORT_EPS = 1e-10
@@ -57,15 +56,7 @@ class DecisionProblem:
             )
         if not np.all(np.isfinite(u)):
             raise ValidationError("non-finite utility")
-        q = np.array(self.prior, dtype=float, copy=True).ravel()
-        if q.size != self.states.n:
-            raise DimensionMismatch(f"prior length {q.size}")
-        if not np.all(np.isfinite(q)) or np.any(q <= ENTRY_FLOOR):
-            raise PriorNotFullSupport(
-                f"prior needs full support above {ENTRY_FLOOR:g}"
-            )
-        if abs(float(q.sum()) - 1.0) > ROW_SUM_TOL:
-            raise RowSumViolation(f"prior sums to {float(q.sum())!r}")
+        q = _full_support_row(self.prior, self.states.n, "prior", PriorNotFullSupport)
         u.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "actions", actions)
@@ -89,15 +80,7 @@ class ChoiceRule:
 
     def __post_init__(self):
         p = np.atleast_2d(np.array(self.probs, dtype=float, copy=True))
-        if not np.all(np.isfinite(p)):
-            raise ValidationError("non-finite choice probability")
-        if np.any(p < 0):
-            raise ValidationError("negative choice probability")
-        sums = p.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise RowSumViolation(f"row {i} sums to {float(sums[i])!r}")
+        _check_prob_matrix(p, "choice rule", positive=False)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -153,31 +136,12 @@ def _check_dimensions(problem: DecisionProblem, rule: ChoiceRule):
         )
 
 
-def _restricted_cost(P: np.ndarray, B: np.ndarray) -> float:
-    """Rule cost with all-zero action columns dropped.
-
-    A zero probability on a supported action makes some KL divergence, and
-    hence the cost, infinite; that is reported as inf, not an error.
-    """
-    Q = P[:, P.max(axis=0) > 0.0]
-    if np.all(Q > 0.0):
-        L = np.log(Q)
-        own = (Q * L).sum(axis=1)
-        return float(np.sum(B * (own[:, None] - Q @ L.T)))
-    n = Q.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j or B[i, j] == 0.0:
-                continue
-            pi, pj = Q[i], Q[j]
-            on = pi > 0.0
-            if np.any(pj[on] == 0.0):
-                return math.inf
-            total += B[i, j] * float(
-                np.dot(pi[on], np.log(pi[on] / pj[on]))
-            )
-    return total
+def _rule_cost(P: np.ndarray, B: np.ndarray) -> float:
+    """sum_ij B[i, j] KL(P[i] || P[j]); a zero price contributes nothing,
+    even against an infinite divergence."""
+    D = _kl_rows(P)
+    D[B == 0.0] = 0.0
+    return float(np.sum(B * D))
 
 
 def _expected_utility(problem: DecisionProblem, P: np.ndarray) -> float:
@@ -186,12 +150,17 @@ def _expected_utility(problem: DecisionProblem, P: np.ndarray) -> float:
 
 
 def objective(problem: DecisionProblem, rule: ChoiceRule, beta: BetaMatrix) -> float:
-    """Expected utility minus the rule's information cost."""
+    """Expected utility minus the rule's information cost.
+
+    A zero probability on a supported action makes some KL divergence
+    infinite; with a positive price on that pair the objective is -inf,
+    not an error.
+    """
     _check_dimensions(problem, rule)
     if beta.states != problem.states:
         raise StateSpaceMismatch("beta and problem disagree on states")
     eu = _expected_utility(problem, rule.probs)
-    return eu - _restricted_cost(rule.probs, beta.dense())
+    return eu - _rule_cost(rule.probs, beta.dense())
 
 
 def _cost_gradient(P: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
@@ -419,7 +388,7 @@ def solve_llr(
     P = np.zeros((n, m))
     P[:, cols] = X
     eu = float(np.sum(W * P))
-    cost = _restricted_cost(P, B)
+    cost = _rule_cost(P, B)
     G = gains(X, W[:, cols])
     return SolveResult(
         rule=ChoiceRule(P),

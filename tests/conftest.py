@@ -3,22 +3,16 @@
 Bulk numerical checks draw from the package's own xoshiro256** generator
 so a given seed replays the exact same corpus on every platform and
 every run; hypothesis hunts the adversarial end separately where a test
-opts in.
+opts in.  Experiments, priors and rules are drawn by the generators of
+`infocost.checks`, with the tests' own floors.
 """
 
 import numpy as np
 
-from infocost import (
-    BetaMatrix,
-    ChoiceRule,
-    DecisionProblem,
-    Experiment,
-    StateSpace,
-)
-
-
-def rand_states(rng, n):
-    return StateSpace(tuple(f"s{i}" for i in range(n)))
+from infocost import BetaMatrix, ChoiceRule, DecisionProblem, Experiment, StateSpace
+from infocost.checks import _rand_prior as rand_prior
+from infocost.checks import _rand_rows
+from infocost.checks import _rand_states as rand_states
 
 
 def rand_valued_states(rng, n):
@@ -32,22 +26,12 @@ def rand_valued_states(rng, n):
 
 
 def rand_experiment(rng, states, n_signals, floor=0.02):
-    rows = np.array(
-        [
-            [rng.uniform_in(floor, 1.0) for _ in range(n_signals)]
-            for _ in range(states.n)
-        ]
-    )
-    rows /= rows.sum(axis=1, keepdims=True)
+    rows = _rand_rows(rng, states.n, n_signals, floor)
     return Experiment(states, tuple(range(n_signals)), rows)
 
 
-def rand_prior(rng, n):
-    q = np.array([rng.uniform_in(0.1, 1.0) for _ in range(n)])
-    return q / q.sum()
-
-
 def rand_beta(rng, states, lo=0.05, hi=2.0):
+    # off-diagonal draws only: a different sequence from checks._rand_beta
     n = states.n
     coef = np.zeros((n, n))
     for i in range(n):
@@ -74,11 +58,4 @@ def rand_problem(rng, n_states, n_actions, u_lo=-1.0, u_hi=2.0):
 
 
 def rand_rule(rng, n_states, n_actions, floor=0.02):
-    rows = np.array(
-        [
-            [rng.uniform_in(floor, 1.0) for _ in range(n_actions)]
-            for _ in range(n_states)
-        ]
-    )
-    rows /= rows.sum(axis=1, keepdims=True)
-    return ChoiceRule(rows)
+    return ChoiceRule(_rand_rows(rng, n_states, n_actions, floor))

@@ -66,6 +66,7 @@ from infocost import (
     solve_llr,
     verification_asymmetry,
 )
+from infocost.checks import _rand_distribution
 
 
 # ---------------------------------------------------------------- criteria
@@ -295,10 +296,7 @@ def _c08_verification_asymmetry():
 def _rand_dist(rng, dim):
     # amplitudes below one keep the twelfth-degree mixed moments behind the
     # largest index boxes well conditioned in double precision
-    m = rng.randint(2, 4)
-    pts = [[rng.uniform_in(-0.6, 0.6) for _ in range(dim)] for _ in range(m)]
-    w = np.array([rng.uniform_in(0.2, 1.0) for _ in range(m)])
-    return finite_distribution(pts, w / w.sum())
+    return _rand_distribution(rng, dim, amplitude=0.6, floor=0.2)
 
 
 def _cf_cumulant(p: float, j: int) -> float:

@@ -2,11 +2,33 @@
 deterministically, and actually report violations when the coefficients
 are sabotaged through the fault-injection hook."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from conftest import (
+    rand_beta,
+    rand_experiment,
+    rand_prior,
+    rand_problem,
+    rand_rule,
+    rand_states,
+    rand_valued_states,
+)
+from test_acceptance import _rand_dist
+
 from infocost import PropertyResult, run_suite
+from infocost.checks import (
+    _rand_beta,
+    _rand_distribution,
+    _rand_experiment,
+    _rand_garbling,
+    _rand_prior,
+    _rand_states,
+)
 from infocost.errors import ValidationError
+from infocost.rng import Xoshiro256
 
 AXIOM_NAMES = (
     "product_additivity",
@@ -89,3 +111,98 @@ class TestFaultInjection:
         )
         for rp, rh in zip(plain, hooked):
             assert rp.max_deviation == rh.max_deviation
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _draws(name, rng):
+    # the arrays of one instance of each seeded generator, by name
+    if name == "checks.experiment":
+        states = _rand_states(rng, rng.randint(2, 4))
+        return [_rand_experiment(rng, states).probs]
+    if name == "checks.beta":
+        return [_rand_beta(rng, _rand_states(rng, 3)).coef]
+    if name == "checks.garbling":
+        return [_rand_garbling(rng, rng.randint(2, 4), rng.randint(2, 4)).probs]
+    if name == "checks.prior":
+        return [_rand_prior(rng, 4)]
+    if name == "checks.distribution":
+        d = _rand_distribution(rng, rng.randint(1, 2))
+        return [d.atoms, d.weights]
+    if name == "tests.experiment":
+        return [rand_experiment(rng, rand_states(rng, 3), 4).probs]
+    if name == "tests.prior":
+        return [rand_prior(rng, 3)]
+    if name == "tests.beta":
+        return [rand_beta(rng, rand_states(rng, 3)).coef]
+    if name == "tests.problem":
+        p = rand_problem(rng, 3, 2)
+        return [p.utility, p.prior]
+    if name == "tests.rule":
+        return [rand_rule(rng, 3, 4).probs]
+    if name == "tests.valued_states":
+        return [rand_valued_states(rng, 4).values]
+    if name == "tests.acceptance_distribution":
+        d = _rand_dist(rng, rng.randint(1, 3))
+        return [d.atoms, d.weights]
+    raise KeyError(name)
+
+
+# sha256 prefixes of the first five instances of each generator, drawn in
+# one stream from Xoshiro256(seed)
+DRAW_DIGESTS = {
+    "checks.experiment": (501, "33f1fa03764e2501"),
+    "checks.beta": (502, "82f506bc8a5303ac"),
+    "checks.garbling": (503, "1a02191ef648e33b"),
+    "checks.prior": (504, "d78cdf142b99776d"),
+    "checks.distribution": (505, "a8e6fff60e815d8d"),
+    "tests.experiment": (506, "fd8d1a7908e0e069"),
+    "tests.prior": (507, "cabac17cf1f4a8b7"),
+    "tests.beta": (508, "50e4a0ae4b263c86"),
+    "tests.problem": (509, "afa70fd3428538cd"),
+    "tests.rule": (510, "b82aa561f7701bff"),
+    "tests.valued_states": (511, "71a4ea244759543a"),
+    "tests.acceptance_distribution": (512, "d2cd8d20e345a17e"),
+}
+
+# run_suite("all", seed=0, trials=20), property by property, as float.hex
+SUITE_DEVIATIONS = (
+    ("product_additivity", "0x1.cbd793073e467p-51"),
+    ("dilution_linearity", "0x1.21267086cdb9ep-51"),
+    ("blackwell_monotonicity", "0x0.0p+0"),
+    ("column_split_invariance", "0x1.0000000000000p-49"),
+    ("posterior_representation", "0x1.0b755219d410fp-50"),
+    ("garbling_dominance", "0x0.0p+0"),
+    ("cumulant_additivity", "0x1.17c605592b6e3p-50"),
+    ("moment_cumulant_round_trip", "0x1.8000000000000p-55"),
+    ("self_convolution_scaling", "0x1.df84c1f34876dp-47"),
+    ("llr_moment_consistency", "0x1.0000000000000p-49"),
+)
+
+
+class TestSeededDraws:
+    """The seeded instance generators and the suite deviations replay the
+    recorded values bit for bit: a refactor of the generators or of the
+    cost kernels must leave every seeded sequence unchanged.  The
+    deviations are rounding-level numbers recorded on x86-64 with numpy
+    2.4; a platform whose log or matrix product rounds differently may need
+    them recorded again."""
+
+    @pytest.mark.parametrize("name", sorted(DRAW_DIGESTS))
+    def test_first_draws_replay(self, name):
+        seed, want = DRAW_DIGESTS[name]
+        rng = Xoshiro256(seed)
+        arrays = [a for _ in range(5) for a in _draws(name, rng)]
+        assert _digest(arrays) == want
+
+    def test_suite_deviations_replay(self):
+        got = tuple(
+            (r.name, float.hex(r.max_deviation))
+            for r in run_suite("all", seed=0, trials=20)
+        )
+        assert got == SUITE_DEVIATIONS

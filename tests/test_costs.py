@@ -282,6 +282,8 @@ class TestPosteriorRoute:
         beta = constant_betas(StateSpace(("a", "b")), 1.0)
         with pytest.raises(PriorNotFullSupport):
             posterior_separable_value(beta, (1.0, 0.0), (0.5, 0.5))
+        with pytest.raises(PriorNotFullSupport):
+            posterior_separable_value(beta, (math.nan, 1.0), (0.5, 0.5))
         with pytest.raises(NotFullSupport) as exc:
             posterior_separable_value(beta, (0.5, 0.5), (1.0, 0.0))
         assert not isinstance(exc.value, PriorNotFullSupport)

@@ -319,6 +319,8 @@ class TestPosteriors:
     def test_rejects_partial_support_prior(self):
         with pytest.raises(PriorNotFullSupport):
             posterior_distribution(binary_experiment(0.8), (1.0, 0.0))
+        with pytest.raises(PriorNotFullSupport):
+            posterior_distribution(binary_experiment(0.8), (math.nan, 1.0))
 
 
 class TestLLRDistribution:
@@ -345,6 +347,17 @@ class TestLLRDistribution:
             expected = np.exp(d.atoms.T) * d.weights[0]
             np.testing.assert_allclose(d.weights[1:], expected, atol=1e-12)
             assert check_admissible(d)
+
+    def test_rejects_bad_weights_by_class(self):
+        from infocost import LLRDistribution
+
+        atoms = [[0.0], [1.0]]
+        with pytest.raises(NonPositiveEntry):
+            LLRDistribution(atoms, [[1.2, -0.2], [0.5, 0.5]])
+        with pytest.raises(RowSumViolation):
+            LLRDistribution(atoms, [[0.5, 0.6], [0.5, 0.5]])
+        with pytest.raises(NonPositiveEntry):
+            LLRDistribution(atoms, [[math.nan, 0.5], [0.5, 0.5]])
 
     def test_check_admissible_rejects_corrupted_weights(self):
         d = llr_distribution(binary_experiment(0.8))

@@ -27,6 +27,7 @@ from infocost import (
     constant_betas,
     foc_residual,
     inverse_square_betas,
+    kl_matrix,
     lipschitz_check,
     llr_cost,
     mutual_information_cost,
@@ -54,6 +55,23 @@ def _matching_problem(payoff=1.0):
     states = StateSpace(("s0", "s1"))
     u = np.array([[payoff, 0.0], [0.0, payoff]])
     return DecisionProblem(states, ("a0", "a1"), u, np.array([0.5, 0.5]))
+
+
+def _loop_cost(P, B):
+    """Rule cost by the per-pair loop the vectorised KL kernel replaced,
+    kept as its reference: inf as soon as a priced pair leaves the
+    support, zero-price pairs skipped."""
+    Q = P[:, P.max(axis=0) > 0.0]
+    total = 0.0
+    for i in range(Q.shape[0]):
+        for j in range(Q.shape[0]):
+            if i == j or B[i, j] == 0.0:
+                continue
+            on = Q[i] > 0.0
+            if np.any(Q[j][on] == 0.0):
+                return math.inf
+            total += B[i, j] * float(np.dot(Q[i][on], np.log(Q[i][on] / Q[j][on])))
+    return total
 
 
 def _solved_corpus(seed, lo, hi):
@@ -125,6 +143,9 @@ class TestDecisionProblem:
         u = np.zeros((2, 2))
         with pytest.raises(PriorNotFullSupport):
             DecisionProblem(states, ("a", "b"), u, (1.0, 0.0))
+        for bad in ((math.nan, 1.0), (math.inf, 0.5)):
+            with pytest.raises(PriorNotFullSupport):
+                DecisionProblem(states, ("a", "b"), u, bad)
         with pytest.raises(RowSumViolation):
             DecisionProblem(states, ("a", "b"), u, (0.5, 0.6))
 
@@ -206,6 +227,66 @@ class TestObjective:
         beta = constant_betas(states, 1.0)
         rule = ChoiceRule(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert objective(problem, rule, beta) == -math.inf
+
+    def test_zero_price_on_an_infinite_pair_contributes_nothing(self):
+        # KL(row 0 || row 1) = ln 2, while KL(row 1 || row 0) is infinite
+        states = StateSpace(("s0", "s1"))
+        problem = DecisionProblem(states, ("a", "b"), np.zeros((2, 2)), (0.5, 0.5))
+        rule = ChoiceRule(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        b = 0.7
+        only_01 = BetaMatrix(states, np.array([[0.0, b], [0.0, 0.0]]))
+        assert objective(problem, rule, only_01) == pytest.approx(
+            -b * math.log(2.0), rel=1e-15
+        )
+        both = BetaMatrix(states, np.array([[0.0, b], [0.3, 0.0]]))
+        assert objective(problem, rule, both) == -math.inf
+
+    def test_rules_with_zeros_match_the_loop(self):
+        rng = Xoshiro256(59)
+        finite_with_zeros = 0
+        for _ in range(400):
+            n, m = rng.randint(2, 4), rng.randint(2, 5)
+            states = StateSpace(tuple(f"s{i}" for i in range(n)))
+            P = np.array(
+                [[rng.uniform() if rng.uniform() < 0.8 else 0.0 for _ in range(m)]
+                 for _ in range(n)]
+            )
+            P[P.sum(axis=1) == 0.0, 0] = 1.0
+            P /= P.sum(axis=1, keepdims=True)
+            B = np.array(
+                [[rng.uniform_in(0.1, 2.0) if rng.uniform() < 0.6 else 0.0
+                  for _ in range(n)] for _ in range(n)]
+            )
+            problem = DecisionProblem(
+                states, tuple(range(m)), np.zeros((m, n)), np.full(n, 1.0 / n)
+            )
+            beta = BetaMatrix(states, B)
+            got = -objective(problem, ChoiceRule(P), beta)
+            want = _loop_cost(P, beta.dense())
+            if math.isinf(want):
+                assert got == math.inf
+            else:
+                finite_with_zeros += bool(np.any(P[:, P.max(axis=0) > 0.0] == 0.0))
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        assert finite_with_zeros >= 50, finite_with_zeros
+
+    def test_positive_rules_cost_their_kl_matrix_bit_for_bit(self):
+        # up to 12 actions: from 8 columns on, numpy's row sums round
+        # differently on a column-major copy of the rule
+        rng = Xoshiro256(58)
+        for _ in range(50):
+            problem = rand_problem(rng, rng.randint(2, 5), rng.randint(2, 12))
+            problem = DecisionProblem(
+                problem.states,
+                problem.actions,
+                np.zeros_like(problem.utility),
+                problem.prior,
+            )
+            beta = rand_beta(rng, problem.states)
+            rule = rand_rule(rng, problem.n_states, problem.n_actions)
+            mu = Experiment(problem.states, problem.actions, rule.probs)
+            cost = float(np.sum(beta.dense() * kl_matrix(mu)))
+            assert objective(problem, rule, beta) == -cost
 
     def test_dimension_checks(self):
         problem = _matching_problem()
