@@ -401,47 +401,87 @@ def solve_llr(
     )
 
 
-def _mi_map(pbar: np.ndarray, E: np.ndarray) -> np.ndarray:
-    M = pbar[None, :] * E
-    return M / M.sum(axis=1, keepdims=True)
-
-
 def solve_mutual_information(
     problem: DecisionProblem, lam: float, opts: SolveOptions | None = None
 ) -> SolveResult:
     """Maximize expected utility minus lam times mutual information.
 
-    Damped fixed-point iteration on the unconditional action distribution
-    p: the optimal rule satisfies mu_i(a) proportional to p(a) e^{u(a,i)/lam}.
-    The reported residual is the sup-norm distance of the returned rule
-    from its own fixed-point image.
+    The optimal rule is P_ia = p_a E_ia / (E p)_i, E_ia = exp((u(a, i) -
+    max_b u(b, i)) / lam), where the action marginal p maximizes the
+    concave F(p) = sum_i q_i ln (E p)_i on the simplex (Matejka & McKay
+    2015).  Its gradient g = E'(q / E p) has <p, g> = 1, so lam ln max_a g_a
+    bounds the rule's distance from the optimal objective: the
+    Matejka-McKay certificate.  ``converged`` means that it and
+    ``foc_residual``, the rule's sup-norm distance from its fixed-point
+    image, are within tol; ``iterations`` counts active-set Newton steps.
     """
     opts = opts or SolveOptions()
     lam = float(lam)
     if not (lam > 0) or not math.isfinite(lam):
         raise ValidationError(f"lambda = {lam!r} must be positive")
-    q = problem.prior
+    q, tol = problem.prior, opts.tol
     W = problem.utility.T / lam  # (state, action)
     E = np.exp(W - W.max(axis=1, keepdims=True))
 
-    pbar = np.full(problem.n_actions, 1.0 / problem.n_actions)
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        P = _mi_map(pbar, E)
-        consistent = q @ P
-        res = float(np.max(np.abs(P - _mi_map(consistent, E))))
-        if res <= opts.tol:
-            break
-        pbar = 0.5 * pbar + 0.5 * consistent
+    def rises(p, Ep, y, d):
+        # F, concave along d, has not peaked at y, or F(y) >= F(p) summed in
+        # log1p terms; E y >= 1e-150 keeps q / E y finite, and (E p)_i >= q_i
+        # at the optimum
+        Ey, x = E @ y, E @ (y - p) / Ep
+        return bool(np.all(Ey >= 1e-150) and np.all(x > -1.0)) and (
+            (q / Ey) @ (E @ d) >= 0.0 or q @ np.log1p(x) >= 0.0
+        )
 
-    # one extra application of the map so states with identical payoff
-    # columns get exactly identical rows
-    P = _mi_map(q @ P, E)
-    pb = q @ P
-    res = float(np.max(np.abs(P - _mi_map(pb, E))))
+    p, it = np.full(problem.n_actions, 1.0 / problem.n_actions), 0
+    while True:
+        Ep = E @ p
+        g = E.T @ (q / Ep)
+        S = p > 0.0
+        P = p * E / Ep[:, None]
+        M = (q @ P) * E
+        res = float(np.max(np.abs(P - M / M.sum(axis=1, keepdims=True))))
+        converged = res <= tol and lam * math.log(g.max()) <= tol
+        if converged or it >= opts.max_iter:
+            break
+        it += 1
+        d = np.zeros_like(p)
+        k = int(S.sum())
+        if k > 1 and (res > tol or lam * math.log(g[S].max()) > tol):
+            # Newton step on sum(d) = 0; floored eigenvalues send it far uphill
+            # where duplicate or dominated actions make the Hessian singular,
+            # and g - 1 keeps it as accurate as the spread of g that sets it
+            H = (E[:, S].T * (q / Ep**2)) @ E[:, S]
+            J = np.eye(k) - 1.0 / k
+            w, V = np.linalg.eigh(J @ H @ J)
+            w = np.maximum(w, k * np.finfo(float).eps * np.trace(H))
+            d[S] = J @ V @ ((V.T @ (J @ (g[S] - 1.0))) / w)
+            reach = np.divide(p, -d, out=np.full_like(p, np.inf), where=d < 0.0)
+            a = int(np.argmin(reach))
+            if reach[a] <= 1.0:
+                # drop a, and any tie such as a duplicate action, at 0
+                z = np.maximum(p + reach[a] * d, 0.0)
+                z[a] = 0.0
+                z /= z.sum()
+                if rises(p, Ep, z, d):
+                    p = z
+                    continue
+        else:
+            # the best excluded action b enters along e_b - p
+            b = int(np.argmax(np.where(S, -np.inf, g)))
+            d[b] = 1.0
+            d -= p
+            d *= (g[b] - 1.0) / max(g[b] - 1.0, float(q @ ((E @ d) / Ep) ** 2))
+        # halve the step until it stays positive and rises (as it does
+        # once it no longer moves p, which ends the solve)
+        while not (np.all((p + d)[S | (d != 0.0)] > 0.0) and rises(p, Ep, p + d, d)):
+            d *= 0.5
+        if np.array_equal(p + d, p):
+            break
+        p = p + d
 
     # an action whose marginal underflows to 0 can keep subnormal entries;
     # their true terms are below P ln(1/q_i), so they are left out
+    pb = q @ P
     mask = (P > 0.0) & (pb > 0.0)
     ratio = np.ones_like(P)
     ratio[mask] = P[mask] / np.broadcast_to(pb, P.shape)[mask]
@@ -455,7 +495,7 @@ def solve_mutual_information(
         expected_utility=eu,
         foc_residual=res,
         iterations=it,
-        converged=res <= opts.tol,
+        converged=converged,
     )
 
 
