@@ -277,84 +277,60 @@ class Hypothesis:
 def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
     """Sum of beta_ij + beta_ji over pairs straddling the hypothesis boundary.
 
-    For inverse-square rules on integer grids the crossing pairs are grouped
-    by distance, which turns the quadratic enumeration into one pass per
-    distance class; on spans up to a few thousand the aggregation runs in
-    exact integer arithmetic, so it agrees bit for bit with naive
+    For inverse-square rules on integer grids the crossing pairs are
+    counted by value distance with one FFT cross-correlation, so the cost
+    grows with the span of the values rather than with the number of pairs,
+    and no dense matrix is built.  On spans up to 2048 the weighted sum runs
+    in exact integer arithmetic, so it agrees bit for bit with naive
     enumeration.
     """
     if beta.states != h.states:
         raise StateSpaceMismatch("hypothesis and beta disagree on states")
+    mask = np.zeros(beta.n, dtype=bool)
+    mask[list(h.members)] = True
     if beta.rule is not None and beta.states.values is not None:
         vals = np.asarray(beta.states.values)
         ints = np.rint(vals)
         if np.all(vals == ints):
             return _partition_by_distance(
                 ints.astype(np.int64),
-                h.members,
+                mask,
                 _rule_scale(beta.rule, beta.n),
             )
     coef = beta.dense()
-    mask = np.zeros(beta.n, dtype=bool)
-    mask[list(h.members)] = True
     return float(coef[np.ix_(mask, ~mask)].sum() + coef[np.ix_(~mask, mask)].sum())
 
 
-def _crossing_counts(svals: np.ndarray, smember: np.ndarray) -> np.ndarray:
+def _crossing_counts(vals: np.ndarray, member: np.ndarray) -> np.ndarray:
     """counts[d] = number of unordered crossing pairs at value distance d.
 
-    svals ascending.  Threshold and parity member sets on consecutive grids
-    get closed-form counts; anything else goes through FFT autocorrelation
-    of the value-indicator sequences, rounded back to exact integers.
+    vals are integers and member a boolean mask over them.  The counts are
+    the FFT cross-correlation of the member and non-member indicators on
+    [min(vals), max(vals)], rounded back to exact integers, so time and
+    memory grow with the span of the values.
     """
-    n = svals.size
-    vmin, vmax = int(svals[0]), int(svals[-1])
-    span = vmax - vmin
-    counts = np.zeros(span + 1, dtype=np.int64)
-    consecutive = n == span + 1
-
-    if consecutive:
-        flips = np.flatnonzero(smember[1:] != smember[:-1])
-        if flips.size == 1:
-            # threshold: one boundary, first block has k states
-            k = int(flips[0]) + 1
-            d = np.arange(1, span + 1)
-            lo = np.maximum(0, k - d)
-            hi = np.minimum(k - 1, n - 1 - d)
-            counts[1:] = np.maximum(0, hi - lo + 1)
-            return counts
-        member_par = set(int(v) % 2 for v in svals[smember])
-        other_par = set(int(v) % 2 for v in svals[~smember])
-        if len(member_par) == 1 and len(other_par) == 1 and member_par != other_par:
-            d = np.arange(1, span + 1)
-            counts[1:] = np.where(d % 2 == 1, n - d, 0)
-            return counts
-
+    vmin = int(vals.min())
+    span = int(vals.max()) - vmin
     a = np.zeros(span + 1)
     b = np.zeros(span + 1)
-    a[svals[smember] - vmin] = 1.0
-    b[svals[~smember] - vmin] = 1.0
+    a[vals[member] - vmin] = 1.0
+    b[vals[~member] - vmin] = 1.0
     size = 1
     while size < 2 * (span + 1):
         size *= 2
     fa = np.fft.rfft(a, size)
     fb = np.fft.rfft(b, size)
     corr = np.fft.irfft(np.conj(fa) * fb + np.conj(fb) * fa, size)[: span + 1]
-    rounded = np.rint(corr)
-    if np.max(np.abs(corr - rounded)) > 0.25:
+    counts = np.rint(corr)
+    if np.max(np.abs(corr - counts)) > 0.25:
         raise SolverFailure("crossing-count FFT lost integer precision")
-    counts[:] = rounded.astype(np.int64)
+    counts = counts.astype(np.int64)
     counts[0] = 0
     return counts
 
 
-def _partition_by_distance(vals: np.ndarray, members: frozenset, c: float) -> float:
-    order = np.argsort(vals, kind="stable")
-    svals = vals[order]
-    mask = np.zeros(vals.size, dtype=bool)
-    mask[list(members)] = True
-    smember = mask[order]
-    counts = _crossing_counts(svals, smember)
+def _partition_by_distance(vals: np.ndarray, member: np.ndarray, c: float) -> float:
+    counts = _crossing_counts(vals, member)
     span = counts.size - 1
     d = np.flatnonzero(counts)
     if d.size == 0:

@@ -16,7 +16,7 @@ from .errors import SolverFailure
 _PIVOT_EPS = 1e-10
 
 
-def phase1_solve(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+def phase1_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize sum of artificials for A x = b, x >= 0; returns x.
 
     The caller decides feasibility by checking the residual of the returned
@@ -27,8 +27,6 @@ def phase1_solve(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> n
     m, n = A.shape
     if b.size != m:
         raise ValueError("rhs length mismatch")
-    if max_iter is None:
-        max_iter = 200 * (m + n + 10)
 
     A = A.copy()
     b = b.copy()
@@ -44,7 +42,7 @@ def phase1_solve(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> n
     w[n : n + m] -= 1.0  # cost 1 on artificials
     w[-1] = b.sum()
 
-    for _ in range(max_iter):
+    for _ in range(200 * (m + n + 10)):
         entering = -1
         for j in range(n + m):
             if w[j] > _PIVOT_EPS:

@@ -104,6 +104,17 @@ class TestFaultInjection:
         by_name = {r.name: r for r in results}
         assert not by_name["blackwell_monotonicity"].passed
 
+    def test_nan_coefficient_fails_monotonicity(self):
+        # a NaN deviation must survive the running maximum, not be dropped
+        def nan_price(coef):
+            coef[0, 1] = np.nan
+            return coef
+
+        results = run_suite("axioms", seed=3, trials=20, beta_hook=nan_price)
+        mono = {r.name: r for r in results}["blackwell_monotonicity"]
+        assert np.isnan(mono.max_deviation)
+        assert not mono.passed
+
     def test_identity_hook_changes_nothing(self):
         plain = run_suite("axioms", seed=3, trials=40)
         hooked = run_suite(

@@ -42,6 +42,7 @@ from infocost import (
     uninformative_experiment,
     verification_asymmetry,
 )
+from infocost.costs import _crossing_counts
 from infocost.errors import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -498,6 +499,39 @@ class TestPartition:
         beta = inverse_square_betas(states, 1.0)
         h = Hypothesis(states, frozenset(range(1500)))
         assert partition_coefficient(beta, h) > 0.0
+
+    def test_other_rule_prices_refuse_grids_too_large_to_materialize(self):
+        # only the partition coefficients have a lazy form; the dense
+        # prices refuse the grid instead of building 3000 x 3000 entries
+        states = _grid_states(3000)
+        beta = one_dimensional_betas(states, 1.0)
+        mu = partition_experiment(Hypothesis(states, frozenset(range(1500))), 0.9)
+        uniform = np.full(3000, 1.0 / 3000)
+        with pytest.raises(ValidationError, match="too large"):
+            llr_cost(mu, beta)
+        with pytest.raises(ValidationError, match="too large"):
+            normal_cost(np.arange(3000.0), 1.0, beta)
+        with pytest.raises(ValidationError, match="too large"):
+            posterior_separable_value(beta, uniform, uniform)
+
+    def test_gdp_scale_counts_match_closed_forms(self):
+        # crossing counts on the 60,001-state income grid, threshold and
+        # parity, against their closed forms
+        vals = np.arange(20000, 80001)
+        n = vals.size
+        d = np.arange(1, n)
+        below = int(np.sum(vals < 50000))
+        threshold = np.zeros(n, dtype=np.int64)
+        # pairs (i, i + d) with i < below <= i + d
+        threshold[1:] = (
+            np.minimum(below - 1, n - 1 - d) - np.maximum(0, below - d) + 1
+        )
+        parity = np.zeros(n, dtype=np.int64)
+        parity[1:] = np.where(d % 2 == 1, n - d, 0)
+        got_threshold = _crossing_counts(vals, vals >= 50000)
+        got_parity = _crossing_counts(vals, vals % 2 == 0)
+        np.testing.assert_array_equal(got_threshold, threshold)
+        np.testing.assert_array_equal(got_parity, parity)
 
 
 def _asymmetry_reference(eps, kappa):
