@@ -42,7 +42,8 @@ from .experiments import (
     posterior_distribution,
 )
 
-# materialization cap for dense coefficient matrices built from rules
+# materialization cap for dense coefficient matrices built from rules; its
+# square caps the value span of the FFT crossing count
 _DENSE_CAP = 2048
 # largest value span for which partition aggregation runs in exact integers
 _EXACT_SPAN_CAP = 2048
@@ -220,18 +221,26 @@ def normal_cost(means: Sequence[float], sigma: float, beta: BetaMatrix) -> float
     return float(np.sum(beta.dense() * diff**2) / (2.0 * sigma**2))
 
 
-def _entropy(p: np.ndarray) -> float:
-    return float(-np.dot(p, np.log(p)))
+def _mutual_information(q: np.ndarray, P: np.ndarray) -> float:
+    """sum_ia q_i P_ia ln(P_ia / p_a), p = q @ P: the mutual information in
+    nats of the prior q and the row-stochastic rule P.
+
+    An entry that is 0, or whose column's marginal underflows to 0 while it
+    stays subnormal, is left out: its true term is below P_ia ln(1/q_i).
+    """
+    pb = q @ P
+    mask = (P > 0.0) & (pb > 0.0)
+    ratio = np.ones_like(P)
+    ratio[mask] = P[mask] / np.broadcast_to(pb, P.shape)[mask]
+    return float(np.sum(q[:, None] * np.where(mask, P * np.log(ratio), 0.0)))
 
 
 def mutual_information_cost(mu: Experiment, prior, lam: float = 1.0) -> float:
     """lam times the expected entropy drop from prior to posterior."""
     if not (lam > 0) or not math.isfinite(lam):
         raise ValidationError(f"lambda = {lam!r} must be positive")
-    prior = np.asarray(prior, dtype=float).ravel()
-    pairs = posterior_distribution(mu, prior)
-    expected = sum(m * _entropy(post) for post, m in pairs)
-    return lam * (_entropy(prior) - expected)
+    prior = _full_support_row(prior, mu.n_states, "prior", PriorNotFullSupport)
+    return lam * _mutual_information(prior, mu.probs)
 
 
 def posterior_separable_value(beta: BetaMatrix, prior, p) -> float:
@@ -277,12 +286,13 @@ class Hypothesis:
 def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
     """Sum of beta_ij + beta_ji over pairs straddling the hypothesis boundary.
 
-    For inverse-square rules on integer grids the crossing pairs are
-    counted by value distance with one FFT cross-correlation, so the cost
-    grows with the span of the values rather than with the number of pairs,
-    and no dense matrix is built.  On spans up to 2048 the weighted sum runs
-    in exact integer arithmetic, so it agrees bit for bit with naive
-    enumeration.
+    For inverse-square rules on integer grids whose values span at most
+    2048**2 points, the crossing pairs are counted by value distance with
+    one FFT cross-correlation, so the cost grows with the span of the values
+    rather than with the number of pairs, and no dense matrix is built.  On
+    spans up to 2048 the weighted sum runs in exact integer arithmetic, so
+    it agrees bit for bit with naive enumeration.  Wider spans take the
+    dense sum, which holds at most 2048 states.
     """
     if beta.states != h.states:
         raise StateSpaceMismatch("hypothesis and beta disagree on states")
@@ -291,7 +301,8 @@ def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
     if beta.rule is not None and beta.states.values is not None:
         vals = np.asarray(beta.states.values)
         ints = np.rint(vals)
-        if np.all(vals == ints):
+        span = ints.max() - ints.min()
+        if np.all(vals == ints) and span + 1 <= _DENSE_CAP**2:
             return _partition_by_distance(
                 ints.astype(np.int64),
                 mask,

@@ -31,15 +31,16 @@ from .errors import (
     NotFullSupport,
     PriorNotFullSupport,
     RowSumViolation,
+    SolverFailure,
     StateSpaceMismatch,
     ValidationError,
 )
-from .simplex import phase1_solve
 
 ENTRY_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
 LLR_MERGE_TOL = 1e-12
 DOMINANCE_TOL = 1e-8
+_PIVOT_EPS = 1e-10
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -411,35 +412,64 @@ def convolve_llr(a: LLRDistribution, b: LLRDistribution) -> LLRDistribution:
     return LLRDistribution(merged_points, merged_weights)
 
 
+def _phase1(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimize the sum of artificials for A x = b, x >= 0, b >= 0; returns x.
+
+    Dense phase-1 simplex on the tableau [A | I | b] from the artificial
+    basis.  Bland's smallest-index rule picks the entering column, and the
+    smallest basic index breaks ratio ties, which rules out cycling in exact
+    arithmetic and makes the pivot sequence (and therefore the returned
+    vertex) deterministic; in floating point the iteration cap stops a
+    cycle.  The caller decides feasibility by checking the residual of the
+    returned point; this function only guarantees the phase-1 optimum was
+    reached.
+    """
+    m, n = A.shape
+    # last row: the objective row w = z - c, with cost 1 on artificials
+    T = np.hstack([A, np.eye(m), b[:, None]])
+    T = np.vstack([T, T.sum(axis=0)])
+    T[m, n : n + m] -= 1.0
+    basis = np.arange(n, n + m)
+    for _ in range(200 * (m + n + 10)):
+        entering = np.flatnonzero(T[m, :-1] > _PIVOT_EPS)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        rows = np.flatnonzero(T[:m, j] > _PIVOT_EPS)
+        if rows.size == 0:
+            raise SolverFailure("phase-1 column unbounded; inconsistent tableau")
+        ratio = T[rows, -1] / T[rows, j]
+        ties = rows[ratio <= ratio.min() + 1e-15]
+        leave = ties[np.argmin(basis[ties])]
+        T[leave] /= T[leave, j]
+        f = T[:, j].copy()
+        f[leave] = 0.0
+        T -= np.outer(f, T[leave])
+        basis[leave] = j
+    else:
+        raise SolverFailure("phase-1 simplex hit the iteration cap")
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    return x[:n]
+
+
 def blackwell_dominates(
     mu: Experiment, nu: Experiment, tol: float = DOMINANCE_TOL
 ) -> bool:
     """Whether nu is a garbling of mu, decided by LP feasibility.
 
-    Searches for a row-stochastic g with ||mu.probs @ g - nu.probs||_inf
-    below tol via a phase-1 simplex (Bland's rule, deterministic).
+    The unknown is a k x m garbling g, flattened row-major.  Its constraints
+    are k row sums of 1 and, per (state, target signal), one entry of
+    mu.probs @ g = nu.probs.  A phase-1 simplex (Bland's rule, so
+    deterministic) finds a vertex, and nu is dominated when that g is
+    row-stochastic and matches nu.probs, each within tol.
     """
     if mu.states != nu.states:
         raise StateSpaceMismatch("dominance needs a common state space")
     k, m = mu.n_signals, nu.n_signals
-    nvar = k * m
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    # row-stochasticity of g
-    for s in range(k):
-        r = np.zeros(nvar)
-        r[s * m : (s + 1) * m] = 1.0
-        rows.append(r)
-        rhs.append(1.0)
-    # matching constraints, one per (state, target signal)
-    for i in range(mu.n_states):
-        for t in range(m):
-            r = np.zeros(nvar)
-            r[t::m] = mu.probs[i]
-            rows.append(r)
-            rhs.append(float(nu.probs[i, t]))
-    x = phase1_solve(np.array(rows), np.array(rhs))
-    g = x.reshape(k, m)
+    A = np.vstack([np.kron(np.eye(k), np.ones(m)), np.kron(mu.probs, np.eye(m))])
+    b = np.concatenate([np.ones(k), nu.probs.ravel()])
+    g = _phase1(A, b).reshape(k, m)
     residual = float(np.max(np.abs(mu.probs @ g - nu.probs)))
     row_err = float(np.max(np.abs(g.sum(axis=1) - 1.0)))
     return residual <= tol and row_err <= tol and float(g.min()) >= -tol

@@ -22,6 +22,7 @@ import numpy as np
 
 from .costs import (
     Hypothesis,
+    _mutual_information,
     inverse_square_betas,
     partition_coefficient,
     verification_asymmetry,
@@ -33,13 +34,22 @@ from .solver import psychometric_curve
 Rows = list[tuple]
 
 
-def _binomial_rows(k: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Likelihoods of the count of heads in k flips, bias p and 1-p."""
+def _binomial_rows(k: int, p: float) -> np.ndarray:
+    """Likelihoods of the count of heads in k flips, bias p (row 0) and 1-p
+    (row 1).
+
+    Built in log space and normalised per row, so a large k neither
+    overflows the binomial coefficients nor leaves a row of zeros.
+    """
     j = np.arange(k + 1)
-    comb = np.array([math.comb(k, int(x)) for x in j], dtype=float)
-    ph = comb * p**j * (1 - p) ** (k - j)
-    pl = comb * (1 - p) ** j * p ** (k - j)
-    return ph, pl
+    # ln C(k, j) by the running product C(k, j) = C(k, j-1) (k-j+1) / j
+    log_comb = np.concatenate(
+        [[0.0], np.cumsum(np.log(k - j[:-1]) - np.log(j[1:]))]
+    )
+    lp, lq = math.log(p), math.log1p(-p)
+    log_rows = log_comb + np.array([j * lp + (k - j) * lq, j * lq + (k - j) * lp])
+    rows = np.exp(log_rows - log_rows.max(axis=1, keepdims=True))
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def coinflip_rows(k_max: int = 20, kappa: float = 1.0, lam: float = 1.0) -> Rows:
@@ -47,26 +57,23 @@ def coinflip_rows(k_max: int = 20, kappa: float = 1.0, lam: float = 1.0) -> Rows
 
     The count of heads is a sufficient statistic, so the k-flip experiment
     collapses to k+1 signals; costs are computed straight from those
-    likelihood arrays.  Prices are kappa/2 per direction, prior uniform.
+    likelihood arrays.  The LLR of j heads is (2j - k) ln(p/(1-p)), so the
+    LLR cost needs no ratio of likelihoods.  Prices are kappa/2 per
+    direction, prior uniform.
     """
     if k_max < 1:
         raise ValidationError(f"k = {k_max} must be at least 1")
+    for name, price in (("kappa", kappa), ("lambda", lam)):
+        if not (price > 0) or not math.isfinite(price):
+            raise ValidationError(f"{name} = {price!r} must be positive")
+    p = 0.8
+    half = np.full(2, 0.5)
     rows = []
     for k in range(1, k_max + 1):
-        ph, pl = _binomial_rows(k, 0.8)
-        llr = 0.5 * kappa * float(
-            np.dot(ph, np.log(ph / pl)) + np.dot(pl, np.log(pl / ph))
-        )
-        marg = 0.5 * (ph + pl)
-        post = 0.5 * ph / marg
-        # extreme counts round the posterior to exactly 0 or 1 once k is
-        # large; those signals carry zero entropy
-        ent = np.zeros_like(post)
-        inner = (post > 0.0) & (post < 1.0)
-        pi = post[inner]
-        ent[inner] = -(pi * np.log(pi) + (1 - pi) * np.log1p(-pi))
-        mi = lam * float(math.log(2.0) - np.dot(marg, ent))
-        rows.append((k, llr, mi))
+        P = _binomial_rows(k, p)
+        llr_sign = 2 * np.arange(k + 1) - k
+        llr = 0.5 * kappa * math.log(p / (1 - p)) * float((P[0] - P[1]) @ llr_sign)
+        rows.append((k, llr, lam * _mutual_information(half, P)))
     return rows
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import BetaMatrix, _kl_rows, inverse_square_betas
+from .costs import BetaMatrix, _kl_rows, _mutual_information, inverse_square_betas
 from .errors import (
     DimensionMismatch,
     DuplicateValues,
@@ -479,15 +479,8 @@ def solve_mutual_information(
             break
         p = p + d
 
-    # an action whose marginal underflows to 0 can keep subnormal entries;
-    # their true terms are below P ln(1/q_i), so they are left out
-    pb = q @ P
-    mask = (P > 0.0) & (pb > 0.0)
-    ratio = np.ones_like(P)
-    ratio[mask] = P[mask] / np.broadcast_to(pb, P.shape)[mask]
-    mi = float(np.sum(q[:, None] * np.where(mask, P * np.log(ratio), 0.0)))
     eu = _expected_utility(problem, P)
-    cost = lam * mi
+    cost = lam * _mutual_information(q, P)
     return SolveResult(
         rule=ChoiceRule(P),
         objective=eu - cost,

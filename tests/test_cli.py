@@ -19,6 +19,7 @@ from infocost import (
     NonConcaveWarning,
     PropertyResult,
     binary_experiment,
+    coinflip_rows,
     experiment_to_json,
 )
 from infocost.cli import main
@@ -264,6 +265,22 @@ class TestReproduce:
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(0.8317766166719346, rel=1e-8)
         assert float(first[2]) == pytest.approx(0.192744757, rel=1e-8)
+
+    def test_coinflip_stays_finite_at_large_k(self):
+        # past k = 463 plain float likelihoods of extreme counts underflow,
+        # and past k = 1030 the binomial coefficients overflow a float
+        rows = np.array(coinflip_rows(1200, 1.0, 0.7))
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[:, 2] <= 0.7 * math.log(2.0) + 1e-12)
+        llr = rows[:, 1]
+        assert np.abs(llr / (rows[:, 0] * llr[0]) - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--kappa", "-1"), ("--lambda", "-2"), ("--kappa", "nan")]
+    )
+    def test_coinflip_rejects_bad_prices(self, flag, value, capsys):
+        assert main(["reproduce", "coinflip", flag, value]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_swans_single_epsilon(self, capsys):
         assert main(["reproduce", "swans", "--epsilon", "1e-4"]) == 0

@@ -500,6 +500,23 @@ class TestPartition:
         h = Hypothesis(states, frozenset(range(1500)))
         assert partition_coefficient(beta, h) > 0.0
 
+    def test_wide_value_span_takes_the_dense_sum(self):
+        # a span of 10**9 would need FFTs of 2**31 points; three states
+        # need only the dense 3 x 3 sum
+        states = StateSpace(("a", "b", "c"), (0, 1, 10**9))
+        beta = inverse_square_betas(states, 1.0)
+        h = Hypothesis(states, frozenset({1}))
+        coef = beta.dense()
+        want = coef[1, [0, 2]].sum() + coef[[0, 2], 1].sum()
+        assert partition_coefficient(beta, h) == want
+
+    def test_wide_value_span_beyond_the_dense_cap_raises(self):
+        vals = tuple(range(0, 3000 * 10**4, 10**4))
+        states = StateSpace(tuple(str(v) for v in vals), vals)
+        h = Hypothesis(states, frozenset(range(1500)))
+        with pytest.raises(ValidationError, match="too large"):
+            partition_coefficient(inverse_square_betas(states, 1.0), h)
+
     def test_other_rule_prices_refuse_grids_too_large_to_materialize(self):
         # only the partition coefficients have a lazy form; the dense
         # prices refuse the grid instead of building 3000 x 3000 entries

@@ -552,6 +552,23 @@ class TestBlackwellDominance:
                 both += 1
         assert checked >= 150  # the corpus must actually exercise the oracle
 
+    def test_permuted_and_split_signals_dominate_both_ways(self):
+        # nu relabels mu's signals and splits one of them in proportions
+        # that do not depend on the state, so each is a garbling of the
+        # other; both LPs are degenerate, with exact ratio ties
+        rng = Xoshiro256(21)
+        for _ in range(40):
+            states = rand_states(rng, rng.randint(2, 4))
+            mu = rand_experiment(rng, states, rng.randint(2, 4))
+            order = np.argsort([rng.uniform() for _ in range(mu.n_signals)])
+            parts = rng.randint(2, 3)
+            w = np.array([rng.uniform_in(0.1, 1.0) for _ in range(parts)])
+            P = mu.probs[:, order]
+            split = np.hstack([P[:, 1:], P[:, :1] * (w / w.sum())])
+            nu = Experiment(states, tuple(range(split.shape[1])), split)
+            assert blackwell_dominates(mu, nu)
+            assert blackwell_dominates(nu, mu)
+
     def test_uninformative_is_dominated_by_everything(self):
         rng = Xoshiro256(20)
         states = StateSpace(("H", "L"))
