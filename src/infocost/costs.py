@@ -38,6 +38,7 @@ from .experiments import (
     Experiment,
     LLRDistribution,
     StateSpace,
+    _floats,
     _full_support_row,
     posterior_distribution,
 )
@@ -67,7 +68,7 @@ class BetaMatrix:
         if self.coef is None and self.rule is None:
             raise IncompleteInput("need a coefficient matrix or a rule")
         if self.coef is not None:
-            coef = np.array(self.coef, dtype=float, copy=True)
+            coef = _floats(self.coef, "beta coef")
             if coef.shape != (self.states.n, self.states.n):
                 raise DimensionMismatch(
                     f"coef shape {coef.shape} for {self.states.n} states"
@@ -427,13 +428,9 @@ def beta_from_json(obj: dict, states: StateSpace | None = None) -> BetaMatrix:
             raise IncompleteInput("rule-form beta needs a state space context")
         name = obj["rule"]
         if name in ("one_dimensional", "inverse_square"):
-            if "kappa" not in obj:
-                raise IncompleteInput(f"rule {name!r} needs kappa")
-            return _rule_beta(states, name, float(obj["kappa"]))
+            return _rule_beta(states, name, _rule_number(obj, "kappa"))
         if name == "constant":
-            if "value" not in obj:
-                raise IncompleteInput("rule 'constant' needs value")
-            return constant_betas(states, float(obj["value"]))
+            return constant_betas(states, _rule_number(obj, "value"))
         raise ValidationError(f"unknown beta rule {name!r}")
     if "coef" not in obj or "states" not in obj:
         raise IncompleteInput("beta JSON needs 'coef' and 'states', or 'rule'")
@@ -442,4 +439,14 @@ def beta_from_json(obj: dict, states: StateSpace | None = None) -> BetaMatrix:
         if own.labels != states.labels:
             raise StateSpaceMismatch("beta file states disagree with context")
         own = states  # adopt context values so equality checks pass
-    return BetaMatrix(own, np.asarray(obj["coef"], dtype=float))
+    return BetaMatrix(own, obj["coef"])
+
+
+def _rule_number(obj: dict, key: str) -> float:
+    """The number under `key` of a rule-form beta object."""
+    if key not in obj:
+        raise IncompleteInput(f"rule {obj['rule']!r} needs {key}")
+    try:
+        return float(obj[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} = {obj[key]!r} is not a number") from None

@@ -101,6 +101,8 @@ def finite_distribution(points, weights) -> FiniteDistribution:
     """Construct with nearby points (within 1e-12) merged first."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float).reshape(1, -1)
+    if w.shape[1] != pts.shape[0]:
+        raise DimensionMismatch(f"{pts.shape[0]} points against {w.shape[1]} weights")
     merged_pts, merged_w = _merge_point_rows(pts, w, 1e-12)
     return FiniteDistribution(merged_pts, merged_w[0])
 

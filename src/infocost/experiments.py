@@ -5,8 +5,8 @@ row per state.  This module provides the validated container types plus the
 operations the cost theory is built on: products (independent observation),
 dilution (observe with probability alpha), garbling (post-processing by a
 stochastic matrix), Kullback-Leibler divergence, Bayesian posteriors, the
-distribution of the log-likelihood-ratio vector, and a linear-programming
-test of informativeness dominance.
+distribution of the log-likelihood-ratio vector, and a non-negative
+least-squares test of informativeness dominance.
 
 All probabilities are strictly positive by construction: entries at or below
 1e-12 are rejected, never clamped, because clamping would silently corrupt
@@ -40,13 +40,31 @@ ENTRY_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
 LLR_MERGE_TOL = 1e-12
 DOMINANCE_TOL = 1e-8
-_PIVOT_EPS = 1e-10
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+def _floats(obj, what: str) -> np.ndarray:
+    """A float array copy of obj; ValidationError if ragged or not numeric."""
+    try:
+        return np.array(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
+def _freeze(obj, what: str) -> np.ndarray:
+    """`_floats(obj, what)`, at least 2-d and read-only."""
+    out = np.atleast_2d(_floats(obj, what))
     out.flags.writeable = False
     return out
+
+
+def _check_labels(labels: tuple, what: str) -> None:
+    """Reject labels that are unhashable or repeated."""
+    try:
+        repeated = len(set(labels)) != len(labels)
+    except TypeError:
+        raise ValidationError(f"{what} labels must be hashable") from None
+    if repeated:
+        raise ValidationError(f"{what} labels must be unique")
 
 
 def _check_prob_matrix(
@@ -79,7 +97,7 @@ def _check_prob_matrix(
 def _full_support_row(p, n: int, what: str, error=NotFullSupport) -> np.ndarray:
     """A copy of `p` as a float vector, checked to have length n, full
     support above ENTRY_FLOOR (else `error`) and sum 1."""
-    p = np.array(p, dtype=float).ravel()
+    p = _floats(p, what).ravel()
     if p.size != n:
         raise DimensionMismatch(f"{what}: length {p.size}, expected {n}")
     _check_prob_matrix(p, what, error)
@@ -101,18 +119,17 @@ class StateSpace:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) < 2:
             raise ValidationError("need at least 2 states")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("state labels must be unique")
+        _check_labels(self.labels, "state")
         if self.values is not None:
-            vals = tuple(float(v) for v in self.values)
-            object.__setattr__(self, "values", vals)
-            if len(vals) != len(self.labels):
+            vals = _floats(self.values, "state values")
+            if vals.shape != (len(self.labels),):
                 raise DimensionMismatch(
-                    f"{len(vals)} values for {len(self.labels)} states"
+                    f"{vals.size} values for {len(self.labels)} states"
                 )
-            if not all(math.isfinite(v) for v in vals):
+            if not np.all(np.isfinite(vals)):
                 raise ValidationError("state values must be finite")
-            if len(set(vals)) != len(vals):
+            object.__setattr__(self, "values", tuple(vals.tolist()))
+            if len(set(self.values)) != len(self.values):
                 raise DuplicateValues("state values must be distinct")
 
     @property
@@ -133,9 +150,8 @@ class Experiment:
 
     def __post_init__(self):
         object.__setattr__(self, "signals", tuple(self.signals))
-        if len(set(self.signals)) != len(self.signals):
-            raise ValidationError("signal labels must be unique")
-        probs = _freeze(np.atleast_2d(np.asarray(self.probs, dtype=float)))
+        _check_labels(self.signals, "signal")
+        probs = _freeze(self.probs, "experiment probs")
         object.__setattr__(self, "probs", probs)
         if probs.shape != (self.states.n, len(self.signals)):
             raise DimensionMismatch(
@@ -158,7 +174,7 @@ class Experiment:
 
 def make_experiment(states: StateSpace, signals: Sequence, probs) -> Experiment:
     """Validating constructor; rejects zeros and unnormalized rows."""
-    return Experiment(states, tuple(signals), np.asarray(probs, dtype=float))
+    return Experiment(states, tuple(signals), probs)
 
 
 def make_normalized_experiment(states: StateSpace, signals: Sequence, probs) -> Experiment:
@@ -198,7 +214,7 @@ class GarblingMatrix:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        probs = _freeze(np.atleast_2d(np.asarray(self.probs, dtype=float)))
+        probs = _freeze(self.probs, "garbling")
         object.__setattr__(self, "probs", probs)
         _check_prob_matrix(probs, "garbling", positive=False)
 
@@ -340,8 +356,8 @@ class LLRDistribution:
     weights: NDArray[np.float64]
 
     def __post_init__(self):
-        atoms = _freeze(np.atleast_2d(np.asarray(self.atoms, dtype=float)))
-        weights = _freeze(np.atleast_2d(np.asarray(self.weights, dtype=float)))
+        atoms = _freeze(self.atoms, "atoms")
+        weights = _freeze(self.weights, "atom weights")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         if atoms.shape[0] != weights.shape[1]:
@@ -412,64 +428,61 @@ def convolve_llr(a: LLRDistribution, b: LLRDistribution) -> LLRDistribution:
     return LLRDistribution(merged_points, merged_weights)
 
 
-def _phase1(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimize the sum of artificials for A x = b, x >= 0, b >= 0; returns x.
-
-    Dense phase-1 simplex on the tableau [A | I | b] from the artificial
-    basis.  Bland's smallest-index rule picks the entering column, and the
-    smallest basic index breaks ratio ties, which rules out cycling in exact
-    arithmetic and makes the pivot sequence (and therefore the returned
-    vertex) deterministic; in floating point the iteration cap stops a
-    cycle.  The caller decides feasibility by checking the residual of the
-    returned point; this function only guarantees the phase-1 optimum was
-    reached.
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson non-negative least squares: x >= 0 minimising |A x - b|
+    (Lawson & Hanson 1974, ch. 23).  It stops once w = A^T (b - A x) <= tol
+    off the passive set, a Farkas certificate for A x = b, x >= 0 when the
+    residual is nonzero, or when a step fails to reduce the residual.
     """
-    m, n = A.shape
-    # last row: the objective row w = z - c, with cost 1 on artificials
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    T = np.vstack([T, T.sum(axis=0)])
-    T[m, n : n + m] -= 1.0
-    basis = np.arange(n, n + m)
-    for _ in range(200 * (m + n + 10)):
-        entering = np.flatnonzero(T[m, :-1] > _PIVOT_EPS)
-        if entering.size == 0:
-            break
-        j = entering[0]
-        rows = np.flatnonzero(T[:m, j] > _PIVOT_EPS)
-        if rows.size == 0:
-            raise SolverFailure("phase-1 column unbounded; inconsistent tableau")
-        ratio = T[rows, -1] / T[rows, j]
-        ties = rows[ratio <= ratio.min() + 1e-15]
-        leave = ties[np.argmin(basis[ties])]
-        T[leave] /= T[leave, j]
-        f = T[:, j].copy()
-        f[leave] = 0.0
-        T -= np.outer(f, T[leave])
-        basis[leave] = j
-    else:
-        raise SolverFailure("phase-1 simplex hit the iteration cap")
-    x = np.zeros(n + m)
-    x[basis] = T[:m, -1]
-    return x[:n]
+    n = A.shape[1]
+    tol = 10 * max(A.shape) * np.finfo(float).eps * np.abs(A).sum(axis=0).max()
+    x, r = np.zeros(n), b
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        w = A.T @ r
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return x
+        passive[j] = True
+        y = x
+        while True:
+            AP = A[:, passive]
+            s = np.zeros(n)
+            s[passive] = np.linalg.solve(AP.T @ AP, AP.T @ b)
+            back = passive & (s <= 0.0)
+            if not back.any():
+                break
+            step = np.divide(y, y - s, out=np.zeros(n), where=back & (y > 0.0))
+            y = y + step[back].min() * (s - y)
+            passive &= y > tol
+        r_s = b - A @ s
+        if r_s @ r_s >= r @ r:
+            return x
+        x, r = s, r_s
+    raise SolverFailure("non-negative least squares hit the iteration cap")
 
 
 def blackwell_dominates(
     mu: Experiment, nu: Experiment, tol: float = DOMINANCE_TOL
 ) -> bool:
-    """Whether nu is a garbling of mu, decided by LP feasibility.
+    """Whether nu is a garbling of mu, by non-negative least squares.
 
-    The unknown is a k x m garbling g, flattened row-major.  Its constraints
-    are k row sums of 1 and, per (state, target signal), one entry of
-    mu.probs @ g = nu.probs.  A phase-1 simplex (Bland's rule, so
-    deterministic) finds a vertex, and nu is dominated when that g is
-    row-stochastic and matches nu.probs, each within tol.
+    The unknown x is the k x m garbling g with row c scaled by mu's mass on
+    signal c, so every column has 1-norm 2 and rare signals fit as closely
+    as common ones.  nu is dominated when g matches nu.probs within tol.
     """
     if mu.states != nu.states:
         raise StateSpaceMismatch("dominance needs a common state space")
     k, m = mu.n_signals, nu.n_signals
-    A = np.vstack([np.kron(np.eye(k), np.ones(m)), np.kron(mu.probs, np.eye(m))])
-    b = np.concatenate([np.ones(k), nu.probs.ravel()])
-    g = _phase1(A, b).reshape(k, m)
+    mass = mu.probs.sum(axis=0)
+    fit = np.einsum("ic,tu->itcu", mu.probs / mass, np.eye(m)).reshape(-1, k * m)
+    A = np.vstack([np.repeat(np.eye(k), m, axis=1), fit])
+    b = np.concatenate([mass, nu.probs.ravel()])
+    x = _nnls(A, b).reshape(k, m)
+    rows = x.sum(axis=1, keepdims=True)
+    # a row the fit leaves at zero is free: fill it uniformly
+    g = np.divide(x, rows, out=np.full((k, m), 1.0 / m), where=rows > 0.0)
     residual = float(np.max(np.abs(mu.probs @ g - nu.probs)))
     row_err = float(np.max(np.abs(g.sum(axis=1) - 1.0)))
     return residual <= tol and row_err <= tol and float(g.min()) >= -tol
@@ -486,6 +499,12 @@ def experiment_to_json(mu: Experiment) -> dict:
     return obj
 
 
+def _tuples(label):
+    """A JSON label with its lists, at any depth, back to the tuples that
+    experiment_to_json wrote them from (product signals are pairs)."""
+    return tuple(map(_tuples, label)) if isinstance(label, list) else label
+
+
 def experiment_from_json(obj: dict) -> Experiment:
     """Parse {"states": [...], "values": [...]?, "signals": [...], "probs": [[...]]}."""
     try:
@@ -495,5 +514,4 @@ def experiment_from_json(obj: dict) -> Experiment:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"experiment JSON missing field: {exc}") from exc
     states = StateSpace(tuple(labels), obj.get("values"))
-    signals = tuple(tuple(s) if isinstance(s, list) else s for s in signals)
-    return make_experiment(states, signals, probs)
+    return make_experiment(states, _tuples(signals), probs)

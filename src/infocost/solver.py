@@ -27,7 +27,13 @@ from .errors import (
     ValidationError,
     ZeroProbabilityOnSupport,
 )
-from .experiments import StateSpace, _check_prob_matrix, _full_support_row
+from .experiments import (
+    StateSpace,
+    _check_labels,
+    _check_prob_matrix,
+    _floats,
+    _full_support_row,
+)
 
 # an action is out of support when its probability is below this in every state
 SUPPORT_EPS = 1e-10
@@ -46,9 +52,8 @@ class DecisionProblem:
         actions = tuple(self.actions)
         if len(actions) == 0:
             raise ValidationError("no actions")
-        if len(set(actions)) != len(actions):
-            raise ValidationError("duplicate action identifiers")
-        u = np.array(self.utility, dtype=float, copy=True)
+        _check_labels(actions, "action")
+        u = _floats(self.utility, "utility")
         if u.shape != (len(actions), self.states.n):
             raise DimensionMismatch(
                 f"utility shape {u.shape}, expected "
@@ -577,13 +582,10 @@ def problem_to_json(problem: DecisionProblem) -> dict:
 
 
 def problem_from_json(obj: dict) -> DecisionProblem:
+    if not isinstance(obj, dict):
+        raise ValidationError("problem JSON must be an object")
     for key in ("states", "actions", "utility", "prior"):
         if key not in obj:
             raise ValidationError(f"problem JSON missing {key!r}")
     states = StateSpace(tuple(obj["states"]), obj.get("values"))
-    return DecisionProblem(
-        states,
-        tuple(obj["actions"]),
-        np.asarray(obj["utility"], dtype=float),
-        np.asarray(obj["prior"], dtype=float),
-    )
+    return DecisionProblem(states, tuple(obj["actions"]), obj["utility"], obj["prior"])

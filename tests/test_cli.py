@@ -347,6 +347,62 @@ class TestInputErrors:
         assert rc == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "role, obj, says",
+        [
+            ("problem", 5, "must be an object"),
+            (
+                "problem",
+                {
+                    "states": ["s0", "s1"],
+                    "actions": ["a0", "a1"],
+                    "utility": [[1, "q"], [0, 1]],
+                    "prior": [0.5, 0.5],
+                },
+                "utility",
+            ),
+            (
+                "experiment",
+                {"states": ["H", "L"], "signals": ["h", "t"], "probs": [[0.8, 0.2], [1.0]]},
+                "experiment probs",
+            ),
+            (
+                "experiment",
+                {
+                    "states": ["H", "L"],
+                    "signals": ["h", {"t": 1}],
+                    "probs": [[0.8, 0.2], [0.2, 0.8]],
+                },
+                "hashable",
+            ),
+            (
+                "experiment",
+                {
+                    "states": ["H", "L"],
+                    "values": ["p", "q"],
+                    "signals": ["h", "t"],
+                    "probs": [[0.8, 0.2], [0.2, 0.8]],
+                },
+                "state values",
+            ),
+            ("beta", {"rule": "inverse_square", "kappa": "abc"}, "kappa"),
+        ],
+        ids=["not-object", "utility", "ragged", "label", "values", "kappa"],
+    )
+    def test_malformed_values_exit_2(
+        self, role, obj, says, exp_file, beta_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = {
+            "problem": ["solve", "--problem", str(bad), "--cost", "mi"],
+            "experiment": ["cost", "--experiment", str(bad), "--beta", beta_file],
+            "beta": ["cost", "--experiment", exp_file, "--beta", str(bad)],
+        }[role]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and says in err
+
 
 class TestSubprocessEntry:
     def test_warning_reaches_stderr(self, matching_file, tmp_path):

@@ -135,6 +135,11 @@ class TestFiniteDistribution:
             FiniteDistribution(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))
         with pytest.raises(ValidationError):
             FiniteDistribution(np.array([[0.0], [0.0]]), np.array([0.5, 0.5]))
+        # more points than weights, and more weights than points
+        with pytest.raises(DimensionMismatch):
+            finite_distribution([[0.0], [1.0], [2.0]], [0.5, 0.5])
+        with pytest.raises(DimensionMismatch):
+            finite_distribution([[0.0], [1.0], [2.0]], [0.3, 0.3, 0.4, 0.0])
 
     def test_constructor_merges_nearby_points(self):
         d = finite_distribution([[1.0], [1.0 + 1e-15], [2.0]], [0.3, 0.3, 0.4])

@@ -8,6 +8,7 @@ in z with kinks only at posterior atoms, so checking the kink points is
 an exact, LP-free oracle.
 """
 
+import json
 import math
 
 import numpy as np
@@ -569,6 +570,32 @@ class TestBlackwellDominance:
             assert blackwell_dominates(mu, nu)
             assert blackwell_dominates(nu, mu)
 
+    def test_rare_signal_split_back_together(self):
+        # nu relabels mu's first signal, which is rare in state c, and
+        # splits its second 3:7; merging the parts back shows that nu
+        # dominates mu
+        states = StateSpace(("a", "b", "c"))
+        mu = Experiment(
+            states, ("x", "y"), [[0.99, 0.01], [0.5, 0.5], [3e-6, 1 - 3e-6]]
+        )
+        nu = garble(mu, GarblingMatrix([[0.0, 1.0, 0.0], [0.3, 0.0, 0.7]]))
+        assert blackwell_dominates(nu, mu)
+        assert blackwell_dominates(mu, nu)
+
+    def test_reflexive_with_repeated_signals(self):
+        # each signal split into equal parts: the system has many exactly
+        # degenerate solutions
+        rng = Xoshiro256(2024)
+        for _ in range(104):
+            states = rand_states(rng, rng.randint(2, 4))
+            base = rand_experiment(rng, states, 4)
+            reps = [rng.randint(1, 3) for _ in range(4)]
+            probs = np.hstack(
+                [np.repeat(base.probs[:, [c]] / r, r, axis=1) for c, r in enumerate(reps)]
+            )
+            mu = Experiment(states, tuple(range(probs.shape[1])), probs)
+            assert blackwell_dominates(mu, mu)
+
     def test_uninformative_is_dominated_by_everything(self):
         rng = Xoshiro256(20)
         states = StateSpace(("H", "L"))
@@ -587,6 +614,12 @@ class TestJsonRoundTrip:
         assert back.states == mu.states
         assert back.signals == mu.signals
         np.testing.assert_array_equal(back.probs, mu.probs)
+
+    def test_nested_product_signals_survive_json(self):
+        a = binary_experiment(0.8)
+        aaa = product(product(a, a), a)
+        back = experiment_from_json(json.loads(json.dumps(experiment_to_json(aaa))))
+        assert back.signals == aaa.signals
 
     def test_tuple_signals_survive(self):
         a = binary_experiment(0.8)
