@@ -190,10 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
 

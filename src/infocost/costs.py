@@ -40,6 +40,7 @@ from .experiments import (
     StateSpace,
     _floats,
     _full_support_row,
+    _json_labels,
     posterior_distribution,
 )
 
@@ -168,6 +169,14 @@ def _kl_rows(P: np.ndarray) -> np.ndarray:
     return D
 
 
+def _rule_cost(P: np.ndarray, B: np.ndarray) -> float:
+    """sum_ij B[i, j] KL(P[i] || P[j]); a zero price contributes nothing,
+    even against an infinite divergence."""
+    D = _kl_rows(P)
+    D[B == 0.0] = 0.0
+    return float(np.sum(B * D))
+
+
 def kl_matrix(mu: Experiment) -> np.ndarray:
     """D[i, j] = KL(row i || row j) for every ordered state pair."""
     return _kl_rows(mu.probs)
@@ -177,7 +186,7 @@ def llr_cost(mu: Experiment, beta: BetaMatrix) -> float:
     """Weighted sum of pairwise KL divergences between the state rows."""
     if mu.states != beta.states:
         raise StateSpaceMismatch("experiment and beta disagree on states")
-    return float(np.sum(beta.dense() * kl_matrix(mu)))
+    return _rule_cost(mu.probs, beta.dense())
 
 
 def llr_cost_from_distribution(dist: LLRDistribution, beta: BetaMatrix) -> float:
@@ -204,8 +213,12 @@ def binary_cost(p: float, beta: BetaMatrix) -> float:
     if not (0.0 < p < 1.0) or not math.isfinite(p):
         raise POutOfRange(f"p = {p!r} outside (0, 1)")
     coef = beta.dense()
-    div = p * math.log(p / (1 - p)) + (1 - p) * math.log((1 - p) / p)
-    return (coef[0, 1] + coef[1, 0]) * div
+    return (coef[0, 1] + coef[1, 0]) * _flip_divergence(p)
+
+
+def _flip_divergence(x: float) -> float:
+    """KL((x, 1-x) || (1-x, x)) = x ln(x/(1-x)) + (1-x) ln((1-x)/x)."""
+    return x * math.log(x / (1 - x)) + (1 - x) * math.log((1 - x) / x)
 
 
 def normal_cost(means: Sequence[float], sigma: float, beta: BetaMatrix) -> float:
@@ -276,7 +289,10 @@ class Hypothesis:
     members: frozenset
 
     def __post_init__(self):
-        members = frozenset(int(i) for i in self.members)
+        try:
+            members = frozenset(int(i) for i in self.members)
+        except (TypeError, ValueError):
+            raise ValidationError("members must be integer state indices") from None
         object.__setattr__(self, "members", members)
         if not all(0 <= i < self.states.n for i in members):
             raise ValidationError("member index out of range")
@@ -345,8 +361,6 @@ def _partition_by_distance(vals: np.ndarray, member: np.ndarray, c: float) -> fl
     counts = _crossing_counts(vals, member)
     span = counts.size - 1
     d = np.flatnonzero(counts)
-    if d.size == 0:
-        return 0.0
     if span <= _EXACT_SPAN_CAP:
         # exact: scale by lcm(1..span)^2 so every 2/d^2 term is an integer
         lcm2 = reduce(math.lcm, range(1, span + 1), 1) ** 2
@@ -362,10 +376,7 @@ def hypothesis_test_cost(beta: BetaMatrix, h: Hypothesis, alpha: float) -> float
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
         raise AlphaOutOfRange(f"alpha = {alpha!r} outside (0, 1)")
-    factor = alpha * math.log(alpha / (1 - alpha)) + (1 - alpha) * math.log(
-        (1 - alpha) / alpha
-    )
-    return partition_coefficient(beta, h) * factor
+    return partition_coefficient(beta, h) * _flip_divergence(alpha)
 
 
 def partition_experiment(h: Hypothesis, alpha: float) -> Experiment:
@@ -434,7 +445,7 @@ def beta_from_json(obj: dict, states: StateSpace | None = None) -> BetaMatrix:
         raise ValidationError(f"unknown beta rule {name!r}")
     if "coef" not in obj or "states" not in obj:
         raise IncompleteInput("beta JSON needs 'coef' and 'states', or 'rule'")
-    own = StateSpace(tuple(obj["states"]), obj.get("values"))
+    own = StateSpace(_json_labels(obj, "states"), obj.get("values"))
     if states is not None:
         if own.labels != states.labels:
             raise StateSpaceMismatch("beta file states disagree with context")

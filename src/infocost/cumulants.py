@@ -36,7 +36,7 @@ from .errors import (
     IncompleteInput,
     ValidationError,
 )
-from .experiments import LLRDistribution, _check_prob_matrix, _merge_point_rows
+from .experiments import LLRDistribution, _check_prob_matrix, _floats, _merge_point_rows
 
 MultiIndex = tuple[int, ...]
 
@@ -68,8 +68,8 @@ class FiniteDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).ravel()
+        atoms = np.atleast_2d(_floats(self.atoms, "atoms"))
+        weights = _floats(self.weights, "weights").ravel()
         if atoms.shape[0] != weights.size:
             raise DimensionMismatch(
                 f"{atoms.shape[0]} atoms against {weights.size} weights"
@@ -81,8 +81,6 @@ class FiniteDistribution:
         _check_prob_matrix(weights, "weights", positive=False)
         if len({tuple(row) for row in atoms}) != atoms.shape[0]:
             raise ValidationError("duplicate atoms")
-        atoms = atoms.copy()
-        weights = weights.copy()
         atoms.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
@@ -99,8 +97,8 @@ class FiniteDistribution:
 
 def finite_distribution(points, weights) -> FiniteDistribution:
     """Construct with nearby points (within 1e-12) merged first."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float).reshape(1, -1)
+    pts = np.atleast_2d(_floats(points, "points"))
+    w = _floats(weights, "weights").reshape(1, -1)
     if w.shape[1] != pts.shape[0]:
         raise DimensionMismatch(f"{pts.shape[0]} points against {w.shape[1]} weights")
     merged_pts, merged_w = _merge_point_rows(pts, w, 1e-12)
@@ -111,8 +109,8 @@ def finite_distribution_from_llr(
     dist: LLRDistribution, state: int
 ) -> FiniteDistribution:
     """State `state`'s distribution over the log-likelihood-ratio vector."""
-    if not 0 <= state < dist.n_states:
-        raise ValidationError(f"state index {state} out of range")
+    if not isinstance(state, (int, np.integer)) or not 0 <= state < dist.n_states:
+        raise ValidationError(f"state index {state!r} is not an integer in range")
     return FiniteDistribution(dist.atoms, dist.weights[state])
 
 
@@ -121,9 +119,7 @@ def convolve(a: FiniteDistribution, b: FiniteDistribution) -> FiniteDistribution
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions {a.dim} and {b.dim}")
     sums = (a.atoms[:, None, :] + b.atoms[None, :, :]).reshape(-1, a.dim)
-    w = (a.weights[:, None] * b.weights[None, :]).reshape(1, -1)
-    pts, ws = _merge_point_rows(sums, w, 1e-12)
-    return FiniteDistribution(pts, ws[0])
+    return finite_distribution(sums, a.weights[:, None] * b.weights[None, :])
 
 
 @dataclass(frozen=True)

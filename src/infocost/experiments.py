@@ -183,7 +183,7 @@ def make_normalized_experiment(states: StateSpace, signals: Sequence, probs) -> 
     Convenience for inputs assembled from unnormalized weights.  Note this
     alters the data it is given: the stored rows are the rescaled ones.
     """
-    p = np.asarray(probs, dtype=float)
+    p = np.atleast_2d(_floats(probs, "experiment probs"))
     sums = p.sum(axis=1, keepdims=True)
     if np.any(sums <= 0) or not np.all(np.isfinite(sums)):
         raise ValidationError("rows must have positive finite mass")
@@ -505,13 +505,21 @@ def _tuples(label):
     return tuple(map(_tuples, label)) if isinstance(label, list) else label
 
 
+def _json_labels(obj: dict, key: str) -> tuple:
+    """The labels under `key` of a JSON object, which must be a list."""
+    labels = obj[key]
+    if not isinstance(labels, list):
+        raise ValidationError(f"{key} must be a JSON list, not {type(labels).__name__}")
+    return tuple(labels)
+
+
 def experiment_from_json(obj: dict) -> Experiment:
     """Parse {"states": [...], "values": [...]?, "signals": [...], "probs": [[...]]}."""
     try:
-        labels = obj["states"]
-        signals = obj["signals"]
+        labels = _json_labels(obj, "states")
+        signals = _json_labels(obj, "signals")
         probs = obj["probs"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"experiment JSON missing field: {exc}") from exc
-    states = StateSpace(tuple(labels), obj.get("values"))
-    return make_experiment(states, _tuples(signals), probs)
+    states = StateSpace(labels, obj.get("values"))
+    return make_experiment(states, tuple(map(_tuples, signals)), probs)

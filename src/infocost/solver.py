@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import BetaMatrix, _kl_rows, _mutual_information, inverse_square_betas
+from .costs import BetaMatrix, _mutual_information, _rule_cost, inverse_square_betas
 from .errors import (
     DimensionMismatch,
     DuplicateValues,
@@ -33,6 +33,7 @@ from .experiments import (
     _check_prob_matrix,
     _floats,
     _full_support_row,
+    _json_labels,
 )
 
 # an action is out of support when its probability is below this in every state
@@ -133,25 +134,24 @@ class SolveResult:
         )
 
 
-def _check_dimensions(problem: DecisionProblem, rule: ChoiceRule):
+def _check_dimensions(problem: DecisionProblem, rule: ChoiceRule, beta: BetaMatrix):
     if rule.probs.shape != (problem.n_states, problem.n_actions):
         raise DimensionMismatch(
             f"rule shape {rule.probs.shape}, expected "
             f"({problem.n_states}, {problem.n_actions})"
         )
-
-
-def _rule_cost(P: np.ndarray, B: np.ndarray) -> float:
-    """sum_ij B[i, j] KL(P[i] || P[j]); a zero price contributes nothing,
-    even against an infinite divergence."""
-    D = _kl_rows(P)
-    D[B == 0.0] = 0.0
-    return float(np.sum(B * D))
+    if beta.states != problem.states:
+        raise StateSpaceMismatch("beta and problem disagree on states")
 
 
 def _expected_utility(problem: DecisionProblem, P: np.ndarray) -> float:
     qU = problem.prior[:, None] * problem.utility.T
     return float(np.sum(qU * P))
+
+
+def _result(problem, P, cost, foc, iterations, converged) -> SolveResult:
+    eu = _expected_utility(problem, P)
+    return SolveResult(ChoiceRule(P), eu - cost, cost, eu, foc, iterations, converged)
 
 
 def objective(problem: DecisionProblem, rule: ChoiceRule, beta: BetaMatrix) -> float:
@@ -161,11 +161,8 @@ def objective(problem: DecisionProblem, rule: ChoiceRule, beta: BetaMatrix) -> f
     infinite; with a positive price on that pair the objective is -inf,
     not an error.
     """
-    _check_dimensions(problem, rule)
-    if beta.states != problem.states:
-        raise StateSpaceMismatch("beta and problem disagree on states")
-    eu = _expected_utility(problem, rule.probs)
-    return eu - _rule_cost(rule.probs, beta.dense())
+    _check_dimensions(problem, rule, beta)
+    return _expected_utility(problem, rule.probs) - _rule_cost(rule.probs, beta.dense())
 
 
 def _cost_gradient(P: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
@@ -206,9 +203,7 @@ def foc_residual(
     """Largest violation of q_i [u(i,a1) - u(i,a2)] = c~(i,a1) - c~(i,a2)
     over states and pairs of supported actions.
     """
-    _check_dimensions(problem, rule)
-    if beta.states != problem.states:
-        raise StateSpaceMismatch("beta and problem disagree on states")
+    _check_dimensions(problem, rule, beta)
     P = rule.probs
     support = P.max(axis=0) > SUPPORT_EPS
     Q = P[:, support]
@@ -252,10 +247,10 @@ def solve_llr(
        maximiser, by the same halving search, and go back to 2.
 
     ``iterations`` counts Newton steps, on the support and in the tests,
-    and the rescalings of step 2; ``opts.max_iter`` caps them.  Excluded actions get probability exactly
-    0, so a corner rule costs exactly 0.  With some zero prices a warning
-    is issued: the Newton systems may then be singular and the maximizer
-    need not be unique.
+    and the rescalings of step 2; ``opts.max_iter`` caps them.  Excluded
+    actions get probability exactly 0, so a corner rule costs exactly 0.
+    With some zero prices a warning is issued: the Newton systems may then
+    be singular and the maximizer need not be unique.
     """
     opts = opts or SolveOptions()
     if beta.states != problem.states:
@@ -352,9 +347,7 @@ def solve_llr(
             except np.linalg.LinAlgError:
                 break
             D = D.reshape(k, n).T
-            reach = np.full_like(X, np.inf)
-            neg = D < 0.0
-            reach[neg] = X[neg] / -D[neg]
+            reach = np.divide(X, -D, out=np.full_like(X, np.inf), where=D < 0.0)
             i, a = np.unravel_index(np.argmin(reach), reach.shape)
             if reach[i, a] <= 1.0:
                 Z = np.delete(X + reach[i, a] * D, a, axis=1)
@@ -392,18 +385,8 @@ def solve_llr(
 
     P = np.zeros((n, m))
     P[:, cols] = X
-    eu = float(np.sum(W * P))
-    cost = _rule_cost(P, B)
-    G = gains(X, W[:, cols])
-    return SolveResult(
-        rule=ChoiceRule(P),
-        objective=eu - cost,
-        cost=cost,
-        expected_utility=eu,
-        foc_residual=_residual(G[:, X.max(axis=0) > SUPPORT_EPS]),
-        iterations=it,
-        converged=converged,
-    )
+    foc = _residual(gains(X, W[:, cols])[:, X.max(axis=0) > SUPPORT_EPS])
+    return _result(problem, P, _rule_cost(P, B), foc, it, converged)
 
 
 def solve_mutual_information(
@@ -484,17 +467,7 @@ def solve_mutual_information(
             break
         p = p + d
 
-    eu = _expected_utility(problem, P)
-    cost = lam * _mutual_information(q, P)
-    return SolveResult(
-        rule=ChoiceRule(P),
-        objective=eu - cost,
-        cost=cost,
-        expected_utility=eu,
-        foc_residual=res,
-        iterations=it,
-        converged=converged,
-    )
+    return _result(problem, P, lam * _mutual_information(q, P), res, it, converged)
 
 
 def perception_problem(r: int) -> DecisionProblem:
@@ -587,5 +560,6 @@ def problem_from_json(obj: dict) -> DecisionProblem:
     for key in ("states", "actions", "utility", "prior"):
         if key not in obj:
             raise ValidationError(f"problem JSON missing {key!r}")
-    states = StateSpace(tuple(obj["states"]), obj.get("values"))
-    return DecisionProblem(states, tuple(obj["actions"]), obj["utility"], obj["prior"])
+    states = StateSpace(_json_labels(obj, "states"), obj.get("values"))
+    actions = _json_labels(obj, "actions")
+    return DecisionProblem(states, actions, obj["utility"], obj["prior"])

@@ -403,6 +403,51 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "input error" in err and says in err
 
+    @pytest.mark.parametrize(
+        "role, field, value",
+        [
+            ("problem", "actions", "xy"),
+            ("problem", "states", 5),
+            ("experiment", "states", "ab"),
+            ("experiment", "signals", 7),
+            ("beta", "states", "ab"),
+        ],
+        ids=[
+            "actions-string",
+            "states-number",
+            "states-string",
+            "signals-number",
+            "beta-states-string",
+        ],
+    )
+    def test_label_fields_must_be_lists(self, role, field, value, tmp_path, capsys):
+        objs = {
+            "problem": {
+                "states": ["a", "b"],
+                "actions": ["x", "y"],
+                "utility": [[1.0, 0.0], [0.0, 1.0]],
+                "prior": [0.5, 0.5],
+            },
+            "experiment": {
+                "states": ["a", "b"],
+                "signals": ["h", "t"],
+                "probs": [[0.8, 0.2], [0.2, 0.8]],
+            },
+            "beta": {"states": ["a", "b"], "coef": [[0.0, 1.0], [1.0, 0.0]]},
+        }
+        objs[role][field] = value
+        paths = {}
+        for name, obj in objs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(obj))
+        if role == "problem":
+            argv = ["solve", "--problem", paths["problem"], "--cost", "mi"]
+        else:
+            argv = ["cost", "--experiment", paths["experiment"]]
+            argv += ["--beta", paths["beta"]]
+        assert main(argv) == 2
+        assert "input error" in capsys.readouterr().err
+
 
 class TestSubprocessEntry:
     def test_warning_reaches_stderr(self, matching_file, tmp_path):

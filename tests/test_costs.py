@@ -393,6 +393,11 @@ class TestPartition:
         with pytest.raises(ValidationError):
             Hypothesis(states, frozenset({0, 9}))
 
+    @pytest.mark.parametrize("members", [{"x"}, 5, [None]], ids=["str", "int", "none"])
+    def test_hypothesis_members_must_be_indices(self, members):
+        with pytest.raises(ValidationError):
+            Hypothesis(_grid_states(4), members)
+
     def test_threshold_fast_path_is_bit_exact(self):
         for n in (2, 3, 17, 60, 200):
             states = _grid_states(n)

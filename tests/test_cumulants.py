@@ -141,6 +141,23 @@ class TestFiniteDistribution:
         with pytest.raises(DimensionMismatch):
             finite_distribution([[0.0], [1.0], [2.0]], [0.3, 0.3, 0.4, 0.0])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FiniteDistribution([[0.0, 1.0], [2.0]], [0.5, 0.5]),
+            lambda: FiniteDistribution([["x"], ["y"]], [0.5, 0.5]),
+            lambda: finite_distribution([[0.0, 1.0], [2.0]], [0.5, 0.5]),
+            lambda: finite_distribution([["x"], ["y"]], [0.5, 0.5]),
+            lambda: finite_distribution_from_llr(
+                llr_distribution(binary_experiment(0.8)), 0.5
+            ),
+        ],
+        ids=["ragged", "not-numeric", "merged-ragged", "merged-not-numeric", "llr"],
+    )
+    def test_out_of_model_input_raises_validation_error(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
     def test_constructor_merges_nearby_points(self):
         d = finite_distribution([[1.0], [1.0 + 1e-15], [2.0]], [0.3, 0.3, 0.4])
         assert d.n_atoms == 2

@@ -129,6 +129,19 @@ class TestExperimentConstruction:
                 StateSpace(("a", "b")), (0, 1), [[0.0, 0.0], [1.0, 1.0]]
             )
 
+    @pytest.mark.parametrize(
+        "probs, error",
+        [
+            ([1.0, 2.0], DimensionMismatch),
+            ([[1.0, 2.0], [3.0]], ValidationError),
+            ([["x", "y"], [1.0, 2.0]], ValidationError),
+        ],
+        ids=["one-row", "ragged", "not-numeric"],
+    )
+    def test_normalized_constructor_raises_documented_errors(self, probs, error):
+        with pytest.raises(error):
+            make_normalized_experiment(StateSpace(("a", "b")), (0, 1), probs)
+
     def test_probs_are_immutable(self):
         mu = binary_experiment(0.7)
         with pytest.raises(ValueError):
