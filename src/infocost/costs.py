@@ -289,10 +289,17 @@ class Hypothesis:
     members: frozenset
 
     def __post_init__(self):
+        bad = "members must be int or numpy integer state indices"
         try:
-            members = frozenset(int(i) for i in self.members)
-        except (TypeError, ValueError):
-            raise ValidationError("members must be integer state indices") from None
+            members = tuple(self.members)
+        except TypeError:
+            raise ValidationError(bad) from None
+        if not all(
+            issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+            for t in set(map(type, members))
+        ):
+            raise ValidationError(bad)
+        members = frozenset(map(int, members))
         object.__setattr__(self, "members", members)
         if not all(0 <= i < self.states.n for i in members):
             raise ValidationError("member index out of range")

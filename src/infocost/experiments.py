@@ -501,16 +501,17 @@ def experiment_to_json(mu: Experiment) -> dict:
 
 def _tuples(label):
     """A JSON label with its lists, at any depth, back to the tuples that
-    experiment_to_json wrote them from (product signals are pairs)."""
+    JSON writes as lists (product signals are pairs)."""
     return tuple(map(_tuples, label)) if isinstance(label, list) else label
 
 
 def _json_labels(obj: dict, key: str) -> tuple:
-    """The labels under `key` of a JSON object, which must be a list."""
+    """The labels under `key` of a JSON object, which must be a list, with
+    the lists inside them read back as tuples."""
     labels = obj[key]
     if not isinstance(labels, list):
         raise ValidationError(f"{key} must be a JSON list, not {type(labels).__name__}")
-    return tuple(labels)
+    return _tuples(labels)
 
 
 def experiment_from_json(obj: dict) -> Experiment:
@@ -522,4 +523,4 @@ def experiment_from_json(obj: dict) -> Experiment:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"experiment JSON missing field: {exc}") from exc
     states = StateSpace(labels, obj.get("values"))
-    return make_experiment(states, tuple(map(_tuples, signals)), probs)
+    return make_experiment(states, signals, probs)

@@ -38,6 +38,9 @@ from .experiments import (
 
 # an action is out of support when its probability is below this in every state
 SUPPORT_EPS = 1e-10
+# most entries in one stack of the KKT systems of solve_llr's per-action
+# tests (16 MB of float64)
+_STACK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,18 +178,46 @@ def _cost_gradient(P: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray
     return Bsum[:, None] * (L + 1.0) - B @ L - (B.T @ P) / P
 
 
-def _cost_hessian(x: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
-    """Hessian of f at x > 0; singular along x itself (H x = 0)."""
-    H = -(B / x[None, :] + B.T / x[:, None])
-    np.fill_diagonal(H, Bsum / x + (B.T @ x) / (x * x))
+def _cost_hessian(X: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
+    """Hessians of f at the columns x > 0 of X, stacked by column; each is
+    singular along its own x (H x = 0)."""
+    n, r = X.shape
+    Xt = X.T
+    S = B / -Xt[:, None, :]
+    H = S + S.transpose(0, 2, 1)  # -(B_ij / x_j + B_ji / x_i)
+    H.reshape(r, -1)[:, :: n + 1] = Bsum / Xt + (Xt @ B) / (Xt * Xt)
     return H
 
 
-def _kkt_step(H: np.ndarray, A: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Newton direction d maximizing <g, d> - d'Hd/2 subject to A d = 0."""
+def _kkt_step(H: np.ndarray, A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Newton directions d maximizing <g, d> - d'Hd/2 subject to A d = 0, one
+    for each matrix of the stack H and row g of G."""
+    r, N, _ = H.shape
     m = A.shape[0]
-    M = np.block([[H, A.T], [A, np.zeros((m, m))]])
-    return np.linalg.solve(M, np.concatenate([g, np.zeros(m)]))[: H.shape[0]]
+    M = np.zeros((r, N + m, N + m))
+    M[:, :N, :N], M[:, :N, N:], M[:, N:, :N] = H, A.T, A
+    rhs = np.zeros((r, N + m, 1))
+    rhs[:, :N, 0] = G
+    return np.linalg.solve(M, rhs)[:, :N, 0]
+
+
+def _test_steps(Y: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray):
+    """The Newton directions of the per-action tests of solve_llr, one for
+    each column y of Y and g of G, on sum(d) = 0; the KKT systems are solved
+    in stacks of at most _STACK_ENTRIES entries, and a singular one gives
+    d = 0."""
+    n, r = Y.shape
+    w = max(1, _STACK_ENTRIES // (n + 1) ** 2)
+    if r <= w:
+        try:
+            return _kkt_step(_cost_hessian(Y, B, Bsum), np.ones((1, n)), G.T).T
+        except np.linalg.LinAlgError:
+            if r == 1:
+                return np.zeros_like(Y)
+            w = 1
+    return np.hstack(
+        [_test_steps(Y[:, j : j + w], G[:, j : j + w], B, Bsum) for j in range(0, r, w)]
+    )
 
 
 def _residual(R: np.ndarray) -> float:
@@ -238,16 +269,22 @@ def solve_llr(
     3. Once the first-order residual on the support is within tol, price
        the states at lam_i = sum_a P_ia (w_a - grad f(P[:, a]))_i and test
        every excluded action b with v_b = max over the simplex of
-       <w_b - lam, y> - f(y), a damped Newton solve on one n-vector from
-       the uniform point.  By concavity and homogeneity v_b is at most
-       max_i (w_b - lam - grad f(y))_i at any y, and a positive v_b is the
-       objective's slope along mass moved onto b in proportion to y.
+       <w_b - lam, y> - f(y).  By concavity and homogeneity v_b lies
+       between <g, y> and max_i g_i, g = w_b - lam - grad f(y), at any y,
+       and a positive v_b is the objective's slope along mass moved onto b
+       in proportion to its maximiser.  Each test starts from its own last
+       maximiser in this solve (the uniform point the first time) and
+       stops once the upper bound or the gap between the bounds is within
+       tol, or its step no longer moves y; the open tests take damped
+       Newton steps together, one stacked KKT solve per step and a halving
+       per test.
     4. If every test is within tol the rule is optimal: return it as
-       converged.  Otherwise add the action with the largest v_b along its
-       maximiser, by the same halving search, and go back to 2.
+       converged.  Otherwise add the action with the largest lower bound
+       (lowest index on ties) along its maximiser, by the same halving
+       search, and go back to 2.
 
-    ``iterations`` counts Newton steps, on the support and in the tests,
-    and the rescalings of step 2; ``opts.max_iter`` caps them.  Excluded
+    ``iterations`` counts Newton steps, on the support and each test's
+    own, and the rescalings of step 2; ``opts.max_iter`` caps them.  Excluded
     actions get probability exactly 0, so a corner rule costs exactly 0.
     With some zero prices a warning is issued: the Newton systems may then
     be singular and the maximizer need not be unique.
@@ -274,47 +311,54 @@ def solve_llr(
         # identity its inner product with X is that objective itself
         return C - _cost_gradient(X, B, Bsum)
 
-    def ascend(X, D, C, value):
+    def ascend(X, D, C, value, axis=None):
         # the first of X + D, X + D/2, ... that is positive and, the
         # objective being concave along D, either gains on `value` or has
-        # not passed its peak; None once the step no longer moves X
-        t = 1.0
+        # not passed its peak; with axis=0 column by column, each column
+        # against its own value.  Returns that point, its gains and
+        # objective, and whether it moved from X at all; a point that left
+        # the simplex is priced at the placeholder 1, which `pos` masks
         while True:
-            Y = X + t * D
-            if np.array_equal(Y, X):
-                return None
-            if np.all(Y > 0.0):
-                G = gains(Y, C)
-                if np.sum(G * D) >= 0.0 or np.sum(G * Y) > value:
-                    return Y
-            t *= 0.5
+            Y = X + D
+            moved = (Y != X).any(axis)
+            pos = (Y > 0.0).all(axis)
+            Y = np.where(pos, Y, 1.0)
+            G = gains(Y, C)
+            v = (G * Y).sum(axis)
+            done = ~moved | pos & (((G * D).sum(axis) >= 0.0) | (v > value))
+            if done.all():
+                return Y, G, v, moved
+            D = np.where(done, D, 0.5 * D)
 
-    def test(c):
+    def tests(C, Y):
         # bounds lower <= v <= upper on v = max_y <c, y> - f(y) over the
-        # simplex, and the y attaining `lower`
+        # simplex for each column c of C, by damped Newton steps taken
+        # together from the columns of Y, which end at the y attaining
+        # `lower`; a test stops once upper or upper - lower is within tol,
+        # or once its step (zero if its Newton system is singular) no
+        # longer moves y
         nonlocal it
-        C = c[:, None]
-        y = np.full((n, 1), 1.0 / n)
+        G = gains(Y, C)
+        lower, upper = (G * Y).sum(axis=0), G.max(axis=0)
+        live = np.arange(C.shape[1])
+        y, g, c, lo = Y, G, C, lower
+        keep = (upper > tol) & (upper - lower > tol)
         while True:
-            g = gains(y, C)
-            lower, upper = float(np.sum(g * y)), float(g.max())
-            if upper <= tol or upper - lower <= tol or it >= opts.max_iter:
-                break
-            it += 1
-            try:
-                d = _kkt_step(
-                    _cost_hessian(y[:, 0], B, Bsum), np.ones((1, n)), g[:, 0]
-                )
-            except np.linalg.LinAlgError:
-                break
-            y_next = ascend(y, d[:, None], C, lower)
-            if y_next is None:
-                break
-            y = y_next
-        return lower, upper, y[:, 0]
+            keep[opts.max_iter - it :] = False  # tests past the cap stop here
+            if not keep.all():
+                live, lo = live[keep], lo[keep]
+                y, g, c = y[:, keep], g[:, keep], c[:, keep]
+            if live.size == 0:
+                return lower, upper, Y
+            it += live.size
+            y, g, lo, moved = ascend(y, _test_steps(y, g, B, Bsum), c, lo, axis=0)
+            up = g.max(axis=0)
+            Y[:, live], lower[live], upper[live] = y, lo, up
+            keep = moved & (up > tol) & (up - lo > tol)
 
     cols = [int(np.argmax(W.sum(axis=0)))]
     X = np.ones((n, 1))
+    Ys = np.full((n, m), 1.0 / n)  # column b: the last maximiser of b's test
     converged = False
     while it < opts.max_iter:
         C = W[:, cols]
@@ -337,13 +381,11 @@ def solve_llr(
             continue
         if _residual(G) > tol:
             it += 1
-            H = np.zeros((n * k, n * k))
-            for a in range(k):
-                H[a * n : (a + 1) * n, a * n : (a + 1) * n] = _cost_hessian(
-                    X[:, a], B, Bsum
-                )
+            H = np.zeros((1, n * k, n * k))
+            diag = np.arange(k)
+            H.reshape(k, n, k, n)[diag, :, diag, :] = _cost_hessian(X, B, Bsum)
             try:
-                D = _kkt_step(H, np.tile(np.eye(n), k), G.T.ravel())
+                D = _kkt_step(H, np.tile(np.eye(n), k), G.T.reshape(1, -1))
             except np.linalg.LinAlgError:
                 break
             D = D.reshape(k, n).T
@@ -358,27 +400,27 @@ def solve_llr(
                     X = Z
                     del cols[a]
                     continue
-            step = ascend(X, D, C, value)
-            if step is None:
+            X, _, _, moved = ascend(X, D, C, value)
+            if not moved:
                 break
-            X = step
             continue
         lam = np.sum(X * G, axis=1)
-        tests = {b: test(W[:, b] - lam) for b in range(m) if b not in cols}
-        if all(upper <= tol for _, upper, _ in tests.values()):
+        out = [b for b in range(m) if b not in cols]
+        lower, upper, Ys[:, out] = tests(W[:, out] - lam[:, None], Ys[:, out])
+        if (upper <= tol).all():
             converged = True
             break
-        b = max(tests, key=lambda b: tests[b][0])
-        lower, _, y = tests[b]
-        if lower <= 0.0:
+        j = int(lower.argmax())
+        if lower[j] <= 0.0:
             break
-        step = ascend(
+        b, y = out[j], Ys[:, out[j]]
+        step, _, _, moved = ascend(
             np.column_stack([X, np.zeros(n)]),
             np.column_stack([-X * y[:, None], y]),
             np.column_stack([C, W[:, b]]),
             value,
         )
-        if step is None:
+        if not moved:
             break
         X = step
         cols.append(b)

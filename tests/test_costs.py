@@ -6,6 +6,7 @@ on small grids, so the oracle here sums crossing pairs in exact rational
 arithmetic and rounds once, mirroring what the fast path guarantees.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -133,6 +134,13 @@ class TestBetaJson:
         states = rand_states(rng, 3)
         beta = rand_beta(rng, states)
         back = beta_from_json(beta_to_json(beta))
+        assert back.states == beta.states
+        np.testing.assert_array_equal(back.dense(), beta.dense())
+
+    def test_tuple_and_nested_tuple_labels_survive_json(self):
+        states = StateSpace((("x", 1), ("y", ("z", 2)), "w"))
+        beta = rand_beta(Xoshiro256(31), states)
+        back = beta_from_json(json.loads(json.dumps(beta_to_json(beta))))
         assert back.states == beta.states
         np.testing.assert_array_equal(back.dense(), beta.dense())
 
@@ -393,10 +401,19 @@ class TestPartition:
         with pytest.raises(ValidationError):
             Hypothesis(states, frozenset({0, 9}))
 
-    @pytest.mark.parametrize("members", [{"x"}, 5, [None]], ids=["str", "int", "none"])
+    @pytest.mark.parametrize(
+        "members",
+        [{"x"}, 5, [None], {1.7}, {"1"}, {True}, [0, True], {np.bool_(True)}],
+        ids="str int none fraction digit-str bool int-and-bool np-bool".split(),
+    )
     def test_hypothesis_members_must_be_indices(self, members):
         with pytest.raises(ValidationError):
             Hypothesis(_grid_states(4), members)
+
+    def test_hypothesis_takes_numpy_integers(self):
+        h = Hypothesis(_grid_states(4), [np.int64(2), np.uint8(0), 3])
+        assert h.members == frozenset({0, 2, 3})
+        assert all(type(i) is int for i in h.members)
 
     def test_threshold_fast_path_is_bit_exact(self):
         for n in (2, 3, 17, 60, 200):

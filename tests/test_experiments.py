@@ -640,6 +640,15 @@ class TestJsonRoundTrip:
         back = experiment_from_json(experiment_to_json(ab))
         assert back.signals == ab.signals
 
+    def test_tuple_and_nested_tuple_labels_survive_json(self):
+        states = StateSpace((("x", 1), ("y", ("z", 2)), "w"))
+        signals = (("go", 1), (("stop", 2), 3))
+        mu = Experiment(states, signals, [[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+        back = experiment_from_json(json.loads(json.dumps(experiment_to_json(mu))))
+        assert back.states == mu.states
+        assert back.signals == mu.signals
+        np.testing.assert_array_equal(back.probs, mu.probs)
+
     def test_missing_key_raises(self):
         obj = experiment_to_json(binary_experiment(0.8))
         del obj["probs"]

@@ -8,6 +8,7 @@ two-parameter grid search on asymmetric two-state problems, and batches
 of random rules that must never beat the reported optimum.
 """
 
+import json
 import math
 import warnings
 
@@ -485,6 +486,56 @@ class TestSolveLLR:
             if n == 50:
                 assert res.objective == pytest.approx(-0.0897741, abs=1e-7)
 
+    def test_moderate_price_grid_warm_starts_its_tests(self):
+        # 30 states, 40 actions at kappa = 1e-3: nearly every Newton step
+        # is a per-action test, which from the uniform point each round took
+        # 5,759 iterations
+        n, m = 30, 40
+        v = np.linspace(0.0, 1.0, n)
+        states = StateSpace(tuple(f"s{i}" for i in range(n)), v)
+        problem = DecisionProblem(
+            states,
+            tuple(f"a{j}" for j in range(m)),
+            -((np.linspace(0.0, 1.0, m)[:, None] - v[None, :]) ** 2),
+            np.full(n, 1.0 / n),
+        )
+        res = solve_llr(problem, one_dimensional_betas(states, 1e-3))
+        assert res.converged
+        assert np.count_nonzero(res.rule.probs.max(axis=0)) == 8
+        assert res.objective == pytest.approx(-0.0340746971875154, abs=1e-12)
+        assert res.iterations <= 2000
+
+    def test_stacked_tests_match_one_at_a_time(self, monkeypatch):
+        # the per-action test systems are solved in stacks, split above
+        # _STACK_ENTRIES entries and system by system when one is singular,
+        # as with all prices zero
+        n, m = 15, 12
+        v = np.linspace(0.0, 1.0, n)
+        states = StateSpace(tuple(f"s{i}" for i in range(n)), v)
+        grid = DecisionProblem(
+            states,
+            tuple(f"a{j}" for j in range(m)),
+            -((np.linspace(0.0, 1.0, m)[:, None] - v[None, :]) ** 2),
+            np.full(n, 1.0 / n),
+        )
+        free = rand_problem(Xoshiro256(5), 4, 4)
+        cases = [
+            (grid, one_dimensional_betas(states, 1e-3)),
+            (free, BetaMatrix(free.states, np.zeros((4, 4)))),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConcaveWarning)
+            stacked = [solve_llr(p, b) for p, b in cases]
+            monkeypatch.setattr("infocost.solver._STACK_ENTRIES", 1)
+            alone = [solve_llr(p, b) for p, b in cases]
+        for want, got in zip(stacked, alone):
+            assert got.converged == want.converged
+            np.testing.assert_array_equal(
+                got.rule.probs.max(axis=0) > 0.0, want.rule.probs.max(axis=0) > 0.0
+            )
+            assert got.objective == pytest.approx(want.objective, abs=1e-12)
+        assert stacked[0].converged
+
     def test_no_ghost_entries_or_negative_costs(self):
         solved, _ = _solved_corpus(606, 0.05, 5.0)
         for _, _, res in solved:
@@ -720,6 +771,17 @@ class TestProblemJson:
     def test_round_trip(self):
         problem = perception_problem(2)
         back = problem_from_json(problem_to_json(problem))
+        assert back.states == problem.states
+        assert back.actions == problem.actions
+        np.testing.assert_array_equal(back.utility, problem.utility)
+        np.testing.assert_array_equal(back.prior, problem.prior)
+
+    def test_tuple_and_nested_tuple_labels_survive_json(self):
+        states = StateSpace((("x", 1), ("y", ("z", 2))), (0.0, 1.0))
+        problem = DecisionProblem(
+            states, (("go", 1), (("stop", 2), 3)), np.eye(2), (0.25, 0.75)
+        )
+        back = problem_from_json(json.loads(json.dumps(problem_to_json(problem))))
         assert back.states == problem.states
         assert back.actions == problem.actions
         np.testing.assert_array_equal(back.utility, problem.utility)
