@@ -38,8 +38,9 @@ from .experiments import (
 
 # an action is out of support when its probability is below this in every state
 SUPPORT_EPS = 1e-10
-# most entries in one stack of the KKT systems of solve_llr's per-action
-# tests (16 MB of float64)
+# most entries in one stack of the bordered (n+1)-square KKT systems of
+# solve_llr's per-action tests (16 MB of float64); the support step solves
+# one reduced system of its own
 _STACK_ENTRIES = 1 << 21
 
 
@@ -189,16 +190,34 @@ def _cost_hessian(X: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
     return H
 
 
-def _kkt_step(H: np.ndarray, A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Newton directions d maximizing <g, d> - d'Hd/2 subject to A d = 0, one
-    for each matrix of the stack H and row g of G."""
-    r, N, _ = H.shape
-    m = A.shape[0]
-    M = np.zeros((r, N + m, N + m))
-    M[:, :N, :N], M[:, :N, N:], M[:, N:, :N] = H, A.T, A
-    rhs = np.zeros((r, N + m, 1))
-    rhs[:, :N, 0] = G
-    return np.linalg.solve(M, rhs)[:, :N, 0]
+def _kkt_step(H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Newton directions d maximizing <g, d> - d'Hd/2 subject to sum(d) = 0,
+    one for each matrix of the stack H and row g of G, by the bordered KKT
+    systems [[H, 1], [1', 0]]."""
+    r, n, _ = H.shape
+    M = np.ones((r, n + 1, n + 1))
+    M[:, :n, :n], M[:, n, n] = H, 0.0
+    rhs = np.zeros((r, n + 1, 1))
+    rhs[:, :n, 0] = G
+    return np.linalg.solve(M, rhs)[:, :n, 0]
+
+
+def _support_step(X: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray):
+    """The Newton direction D of solve_llr's support step: it maximizes
+    sum_a <G[:, a], D[:, a]> - D[:, a]' H_a D[:, a] / 2, H_a the Hessian of
+    f at X[:, a], subject to zero row sums.  The last column is eliminated,
+    D[:, -1] = -sum of the others, leaving the system
+    (blockdiag(H_1..H_k-1) + 11' (x) H_k) e = (G[:, a] - G[:, -1])_a<k, the
+    Hessian reduced to the null space of the row-sum constraint.  It is
+    singular exactly when the bordered KKT system is, and LinAlgError is
+    raised when its LU factorisation meets a zero pivot."""
+    n, k = X.shape
+    H = _cost_hessian(X, B, Bsum)
+    K = np.tile(H[-1], (k - 1, k - 1))
+    diag = np.arange(k - 1)
+    K.reshape(k - 1, n, k - 1, n)[diag, :, diag, :] += H[:-1]
+    E = np.linalg.solve(K, (G[:, :-1] - G[:, -1:]).T.ravel()).reshape(k - 1, n).T
+    return np.column_stack([E, -E.sum(axis=1)])
 
 
 def _test_steps(Y: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray):
@@ -210,7 +229,7 @@ def _test_steps(Y: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray):
     w = max(1, _STACK_ENTRIES // (n + 1) ** 2)
     if r <= w:
         try:
-            return _kkt_step(_cost_hessian(Y, B, Bsum), np.ones((1, n)), G.T).T
+            return _kkt_step(_cost_hessian(Y, B, Bsum), G.T).T
         except np.linalg.LinAlgError:
             if r == 1:
                 return np.zeros_like(Y)
@@ -259,13 +278,16 @@ def solve_llr(
 
     1. Start at the no-information corner of the best uninformed action.
     2. On the supported columns, take equality-constrained Newton steps
-       (one dense KKT solve each, row sums held at 1), halving the step
-       until it stays positive and the objective, concave along it, has
-       risen or not yet peaked.  A column the full step drives out of the
+       (row sums held at 1), halving the step until it stays positive and
+       the objective, concave along it, has risen or not yet peaked.  A column the full step drives out of the
        simplex is dropped as exact zeros when dropping it at that boundary
        does not lower the objective.  More columns than states are
        linearly dependent; the objective is then linear along a rescaling
-       of the columns, which is followed until one column vanishes.
+       of the columns, which is followed until one column vanishes.  The
+       Hessian is block-diagonal over columns and the row sums are its only
+       coupling, so each step eliminates the last column's direction and
+       solves one (k-1)n-square system, k columns on n states, in the
+       null space of the row-sum constraint.
     3. Once the first-order residual on the support is within tol, price
        the states at lam_i = sum_a P_ia (w_a - grad f(P[:, a]))_i and test
        every excluded action b with v_b = max over the simplex of
@@ -381,14 +403,10 @@ def solve_llr(
             continue
         if _residual(G) > tol:
             it += 1
-            H = np.zeros((1, n * k, n * k))
-            diag = np.arange(k)
-            H.reshape(k, n, k, n)[diag, :, diag, :] = _cost_hessian(X, B, Bsum)
             try:
-                D = _kkt_step(H, np.tile(np.eye(n), k), G.T.reshape(1, -1))
+                D = _support_step(X, G, B, Bsum)
             except np.linalg.LinAlgError:
                 break
-            D = D.reshape(k, n).T
             reach = np.divide(X, -D, out=np.full_like(X, np.inf), where=D < 0.0)
             i, a = np.unravel_index(np.argmin(reach), reach.shape)
             if reach[i, a] <= 1.0:

@@ -50,6 +50,7 @@ from infocost.errors import (
     ValidationError,
     ZeroProbabilityOnSupport,
 )
+from infocost.solver import _cost_hessian, _support_step
 
 
 def _matching_problem(payoff=1.0):
@@ -96,6 +97,19 @@ def _solved_corpus(seed, lo, hi):
         beta = rand_beta(rng, problem.states, lo=lo, hi=hi)
         solved.append((problem, beta, solve_llr(problem, beta)))
     return solved, rng
+
+
+def _quadratic_grid(values, m):
+    """Quadratic loss u(a, i) = -((a - v_i) / span)^2 with m actions evenly
+    spaced over the range of the state values v and a uniform prior."""
+    v = np.asarray(values, dtype=float)
+    actions = np.linspace(v[0], v[-1], m)
+    return DecisionProblem(
+        StateSpace(tuple(f"s{i}" for i in range(v.size)), v),
+        tuple(f"a{j}" for j in range(m)),
+        -(((actions[:, None] - v[None, :]) / (v[-1] - v[0])) ** 2),
+        np.full(v.size, 1.0 / v.size),
+    )
 
 
 def _matching_oracle(b, target):
@@ -468,17 +482,9 @@ class TestSolveLLR:
             assert np.count_nonzero(res.rule.probs.max(axis=0)) == 2
 
     def test_quadratic_loss_grids_converge(self):
-        actions = np.linspace(0.0, 1.0, 10)
         for n in (15, 25, 50, 200):
-            v = np.linspace(0.0, 1.0, n)
-            states = StateSpace(tuple(f"s{i}" for i in range(n)), v)
-            problem = DecisionProblem(
-                states,
-                tuple(f"a{j}" for j in range(10)),
-                -((actions[:, None] - v[None, :]) ** 2),
-                np.full(n, 1.0 / n),
-            )
-            beta = one_dimensional_betas(states, 1.0)
+            problem = _quadratic_grid(np.linspace(0.0, 1.0, n), 10)
+            beta = one_dimensional_betas(problem.states, 1.0)
             res = solve_llr(problem, beta, SolveOptions(tol=1e-8))
             assert res.converged and res.foc_residual <= 1e-8
             support = np.flatnonzero(res.rule.probs.max(axis=0))
@@ -490,37 +496,32 @@ class TestSolveLLR:
         # 30 states, 40 actions at kappa = 1e-3: nearly every Newton step
         # is a per-action test, which from the uniform point each round took
         # 5,759 iterations
-        n, m = 30, 40
-        v = np.linspace(0.0, 1.0, n)
-        states = StateSpace(tuple(f"s{i}" for i in range(n)), v)
-        problem = DecisionProblem(
-            states,
-            tuple(f"a{j}" for j in range(m)),
-            -((np.linspace(0.0, 1.0, m)[:, None] - v[None, :]) ** 2),
-            np.full(n, 1.0 / n),
-        )
-        res = solve_llr(problem, one_dimensional_betas(states, 1e-3))
+        problem = _quadratic_grid(np.linspace(0.0, 1.0, 30), 40)
+        res = solve_llr(problem, one_dimensional_betas(problem.states, 1e-3))
         assert res.converged
         assert np.count_nonzero(res.rule.probs.max(axis=0)) == 8
         assert res.objective == pytest.approx(-0.0340746971875154, abs=1e-12)
         assert res.iterations <= 2000
 
+    def test_low_price_integer_grid_converges(self):
+        # 40 states on 0..39, 16 actions at kappa = 0.01: the prices are
+        # 39^2 times lower than on the unit grid, every action is used, and
+        # most of the solve is support Newton steps, up to 16 columns wide
+        problem = _quadratic_grid(np.arange(40), 16)
+        res = solve_llr(problem, one_dimensional_betas(problem.states, 0.01))
+        assert res.converged
+        assert np.count_nonzero(res.rule.probs.max(axis=0)) == 16
+        assert res.objective == pytest.approx(-0.0020885450847356627, abs=1e-12)
+        assert res.iterations <= 1300
+
     def test_stacked_tests_match_one_at_a_time(self, monkeypatch):
         # the per-action test systems are solved in stacks, split above
         # _STACK_ENTRIES entries and system by system when one is singular,
         # as with all prices zero
-        n, m = 15, 12
-        v = np.linspace(0.0, 1.0, n)
-        states = StateSpace(tuple(f"s{i}" for i in range(n)), v)
-        grid = DecisionProblem(
-            states,
-            tuple(f"a{j}" for j in range(m)),
-            -((np.linspace(0.0, 1.0, m)[:, None] - v[None, :]) ** 2),
-            np.full(n, 1.0 / n),
-        )
+        grid = _quadratic_grid(np.linspace(0.0, 1.0, 15), 12)
         free = rand_problem(Xoshiro256(5), 4, 4)
         cases = [
-            (grid, one_dimensional_betas(states, 1e-3)),
+            (grid, one_dimensional_betas(grid.states, 1e-3)),
             (free, BetaMatrix(free.states, np.zeros((4, 4)))),
         ]
         with warnings.catch_warnings():
@@ -560,6 +561,41 @@ class TestSolveLLR:
         }
         assert d["converged"] is True
         assert "converged" in res.summary()
+
+
+def test_support_step_is_the_bordered_kkt_direction():
+    # the reduced system of _support_step against the dense (nk + n)-square
+    # KKT system [[blockdiag(H_1..H_k), A'], [A, 0]], A = [I ... I], that
+    # holds the row sums of the direction at zero
+    rng = np.random.default_rng(12)
+    n = 6
+    for k in range(2, 6):
+        X = rng.uniform(0.05, 1.0, size=(n, k))
+        X /= X.sum(axis=1, keepdims=True)
+        B = rng.uniform(0.01, 2.0, size=(n, n))
+        np.fill_diagonal(B, 0.0)
+        Bsum = B.sum(axis=1)
+        G = rng.normal(size=(n, k))
+        M = np.zeros((n * k + n, n * k + n))
+        for a, H in enumerate(_cost_hessian(X, B, Bsum)):
+            M[a * n : (a + 1) * n, a * n : (a + 1) * n] = H
+        A = np.tile(np.eye(n), k)
+        M[: n * k, n * k :], M[n * k :, : n * k] = A.T, A
+        rhs = np.concatenate([G.T.ravel(), np.zeros(n)])
+        want = np.linalg.solve(M, rhs)[: n * k].reshape(k, n).T
+        D = _support_step(X, G, B, Bsum)
+        assert np.max(np.abs(D - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(D.sum(axis=1))) <= 1e-12
+    # states s0 and s1 alike, priced only within {s0, s1} and {s2, s3}: every
+    # H_a is then a multiple of [[1, -1], [-1, 1]] on {s0, s1}, so moving
+    # mass along (1, 1, 0, 0) from one action to another is free; the dyadic
+    # entries keep that multiple exact, so the LU meets an exact zero pivot
+    B = np.zeros((4, 4))
+    B[0, 1] = B[1, 0] = 1.0
+    B[2, 3] = B[3, 2] = 0.5
+    X = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _support_step(X, np.ones((4, 2)), B, B.sum(axis=1))
 
 
 class TestSolveMutualInformation:
