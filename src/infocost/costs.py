@@ -13,6 +13,7 @@ rational-inattention baseline.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -55,10 +56,12 @@ _EXACT_SPAN_CAP = 2048
 class BetaMatrix:
     """Distinguishability prices beta_ij, one per ordered state pair.
 
-    Either an explicit coefficient matrix (diagonal ignored) or a lazy
-    rule-backed form.  The lazy form exists because one-dimensional
-    inverse-square rules are used on grids far too large to materialize; it
-    is produced by the rule constructors below, never directly.
+    Either an explicit coefficient matrix (diagonal ignored) or a rule
+    (name, kappa), "one_dimensional" or "inverse_square", on states with
+    values.  A rule's matrix is built here for at most _DENSE_CAP states and
+    left lazy beyond: one-dimensional inverse-square rules are used on grids
+    far too large to materialize, where only partition coefficients price
+    them.  Rules come from the constructors below.
     """
 
     states: StateSpace
@@ -66,22 +69,40 @@ class BetaMatrix:
     rule: tuple[str, float] | None = None
 
     def __post_init__(self):
-        if self.coef is None and self.rule is None:
-            raise IncompleteInput("need a coefficient matrix or a rule")
-        if self.coef is not None:
-            coef = _floats(self.coef, "beta coef")
-            if coef.shape != (self.states.n, self.states.n):
-                raise DimensionMismatch(
-                    f"coef shape {coef.shape} for {self.states.n} states"
-                )
-            off = ~np.eye(self.states.n, dtype=bool)
-            if not np.all(np.isfinite(coef[off])):
-                raise ValidationError("non-finite off-diagonal coefficient")
-            if np.any(coef[off] < 0):
-                raise ValidationError("negative off-diagonal coefficient")
-            np.fill_diagonal(coef, 0.0)
-            coef.flags.writeable = False
-            object.__setattr__(self, "coef", coef)
+        coef = self.coef
+        if self.rule is not None:
+            if not (isinstance(self.rule, tuple) and len(self.rule) == 2):
+                raise ValidationError(f"rule {self.rule!r} is not a (name, kappa) pair")
+            name, kappa = self.rule
+            if name not in ("one_dimensional", "inverse_square"):
+                raise ValidationError(f"unknown rule {name!r}")
+            if self.states.values is None:
+                raise MissingValues("rule needs a StateSpace with values")
+            if not (isinstance(kappa, numbers.Real) and 0 < kappa < math.inf):
+                raise ValidationError(f"kappa = {kappa!r} must be positive")
+            object.__setattr__(self, "rule", (name, float(kappa)))
+            if coef is None and self.states.n <= _DENSE_CAP:
+                v = np.asarray(self.states.values, dtype=float)
+                diff = v[:, None] - v[None, :]
+                np.fill_diagonal(diff, 1.0)  # placeholder, diagonal zeroed below
+                coef = _rule_scale(self.rule, self.states.n) / diff**2
+        if coef is None:
+            if self.rule is None:
+                raise IncompleteInput("need a coefficient matrix or a rule")
+            return
+        coef = _floats(coef, "beta coef")
+        if coef.shape != (self.states.n, self.states.n):
+            raise DimensionMismatch(
+                f"coef shape {coef.shape} for {self.states.n} states"
+            )
+        off = ~np.eye(self.states.n, dtype=bool)
+        if not np.all(np.isfinite(coef[off])):
+            raise ValidationError("non-finite off-diagonal coefficient")
+        if np.any(coef[off] < 0):
+            raise ValidationError("negative off-diagonal coefficient")
+        np.fill_diagonal(coef, 0.0)
+        coef.flags.writeable = False
+        object.__setattr__(self, "coef", coef)
 
     @property
     def n(self) -> int:
@@ -89,44 +110,17 @@ class BetaMatrix:
 
     def dense(self) -> np.ndarray:
         """Materialized coefficient matrix with zero diagonal."""
-        if self.coef is not None:
-            return self.coef
-        if self.n > _DENSE_CAP:
+        if self.coef is None:
             raise ValidationError(
                 f"{self.n} states: coefficient matrix too large to materialize"
             )
-        return _rule_matrix(self.states, self.rule)
+        return self.coef
 
 
 def _rule_scale(rule: tuple[str, float], n: int) -> float:
     """Constant c such that beta_ij = c / (v_i - v_j)^2."""
     name, kappa = rule
-    if name == "one_dimensional":
-        return kappa / (n * (n - 1))
-    if name == "inverse_square":
-        return kappa
-    raise ValidationError(f"unknown rule {name!r}")
-
-
-def _rule_matrix(states: StateSpace, rule: tuple[str, float]) -> np.ndarray:
-    c = _rule_scale(rule, states.n)
-    v = np.asarray(states.values, dtype=float)
-    diff = v[:, None] - v[None, :]
-    np.fill_diagonal(diff, 1.0)  # placeholder, diagonal zeroed below
-    coef = c / diff**2
-    np.fill_diagonal(coef, 0.0)
-    coef.flags.writeable = False
-    return coef
-
-
-def _rule_beta(states: StateSpace, rule_name: str, kappa: float) -> BetaMatrix:
-    if states.values is None:
-        raise MissingValues("rule needs a StateSpace with values")
-    if not (kappa > 0) or not math.isfinite(kappa):
-        raise ValidationError(f"kappa = {kappa!r} must be positive")
-    rule = (rule_name, float(kappa))
-    coef = _rule_matrix(states, rule) if states.n <= _DENSE_CAP else None
-    return BetaMatrix(states, coef, rule)
+    return kappa / (n * (n - 1)) if name == "one_dimensional" else kappa
 
 
 def one_dimensional_betas(states: StateSpace, kappa: float) -> BetaMatrix:
@@ -135,12 +129,12 @@ def one_dimensional_betas(states: StateSpace, kappa: float) -> BetaMatrix:
     The normalized one-dimensional rule: with these coefficients a
     unit-variance normal experiment costs the same on every state grid.
     """
-    return _rule_beta(states, "one_dimensional", kappa)
+    return BetaMatrix(states, None, ("one_dimensional", kappa))
 
 
 def inverse_square_betas(states: StateSpace, kappa: float) -> BetaMatrix:
     """beta_ij = kappa / (v_i - v_j)^2, without the n(n-1) normalization."""
-    return _rule_beta(states, "inverse_square", kappa)
+    return BetaMatrix(states, None, ("inverse_square", kappa))
 
 
 def constant_betas(states: StateSpace, value: float) -> BetaMatrix:
@@ -446,7 +440,7 @@ def beta_from_json(obj: dict, states: StateSpace | None = None) -> BetaMatrix:
             raise IncompleteInput("rule-form beta needs a state space context")
         name = obj["rule"]
         if name in ("one_dimensional", "inverse_square"):
-            return _rule_beta(states, name, _rule_number(obj, "kappa"))
+            return BetaMatrix(states, None, (name, _rule_number(obj, "kappa")))
         if name == "constant":
             return constant_betas(states, _rule_number(obj, "value"))
         raise ValidationError(f"unknown beta rule {name!r}")

@@ -11,6 +11,7 @@ bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,9 +39,8 @@ from .experiments import (
 
 # an action is out of support when its probability is below this in every state
 SUPPORT_EPS = 1e-10
-# most entries in one stack of the bordered (n+1)-square KKT systems of
-# solve_llr's per-action tests (16 MB of float64); the support step solves
-# one reduced system of its own
+# most entries in one stack of the n x n Hessians of solve_llr's per-action
+# tests (16 MB of float64); the support step solves one system of its own
 _STACK_ENTRIES = 1 << 21
 
 
@@ -101,10 +101,13 @@ class SolveOptions:
     max_iter: int = 200000
 
     def __post_init__(self):
-        if not (self.tol > 0) or not math.isfinite(self.tol):
-            raise ValidationError(f"tol = {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter = {self.max_iter!r}")
+        tol, max_iter = self.tol, self.max_iter
+        if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+            raise ValidationError(f"tol = {tol!r} must be a finite positive number")
+        if isinstance(max_iter, bool) or not (
+            isinstance(max_iter, numbers.Integral) and max_iter > 0
+        ):
+            raise ValidationError(f"max_iter = {max_iter!r} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -180,8 +183,10 @@ def _cost_gradient(P: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray
 
 
 def _cost_hessian(X: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
-    """Hessians of f at the columns x > 0 of X, stacked by column; each is
-    singular along its own x (H x = 0)."""
+    """Hessians of f at the columns x > 0 of X, stacked by column.  Each has
+    v'H v = sum_ij B_ij x_i (v_i / x_i - v_j / x_j)^2, so H x = 0, and H v = 0
+    only for v = x rescaled by a constant on each connected component of the
+    price graph B + B' > 0."""
     n, r = X.shape
     Xt = X.T
     S = B / -Xt[:, None, :]
@@ -190,27 +195,17 @@ def _cost_hessian(X: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
     return H
 
 
-def _kkt_step(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Newton directions d maximizing <g, d> - d'Hd/2 subject to sum(d) = 0,
-    one for each matrix of the stack H and row g of G, by the bordered KKT
-    systems [[H, 1], [1', 0]]."""
-    r, n, _ = H.shape
-    M = np.ones((r, n + 1, n + 1))
-    M[:, :n, :n], M[:, n, n] = H, 0.0
-    rhs = np.zeros((r, n + 1, 1))
-    rhs[:, :n, 0] = G
-    return np.linalg.solve(M, rhs)[:, :n, 0]
-
-
 def _support_step(X: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray):
     """The Newton direction D of solve_llr's support step: it maximizes
     sum_a <G[:, a], D[:, a]> - D[:, a]' H_a D[:, a] / 2, H_a the Hessian of
     f at X[:, a], subject to zero row sums.  The last column is eliminated,
     D[:, -1] = -sum of the others, leaving the system
     (blockdiag(H_1..H_k-1) + 11' (x) H_k) e = (G[:, a] - G[:, -1])_a<k, the
-    Hessian reduced to the null space of the row-sum constraint.  It is
-    singular exactly when the bordered KKT system is, and LinAlgError is
-    raised when its LU factorisation meets a zero pivot."""
+    Hessian reduced to the null space of the row-sum constraint.  By the
+    null space of each H_a it is singular exactly when, on the states of some
+    connected component of the price graph, the columns of X are linearly
+    dependent: on a connected graph, only when the columns themselves are.
+    LinAlgError is raised when its LU factorisation meets a zero pivot."""
     n, k = X.shape
     H = _cost_hessian(X, B, Bsum)
     K = np.tile(H[-1], (k - 1, k - 1))
@@ -222,21 +217,26 @@ def _support_step(X: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray)
 
 def _test_steps(Y: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray):
     """The Newton directions of the per-action tests of solve_llr, one for
-    each column y of Y and g of G, on sum(d) = 0; the KKT systems are solved
-    in stacks of at most _STACK_ENTRIES entries, and a singular one gives
-    d = 0."""
+    each column y of Y and g of G: d maximizes <g, d> - d'H d / 2, H the
+    Hessian of f at y, subject to sum(d) = 0.  The last entry is eliminated,
+    d_n = -(d_1 + ... + d_n-1), leaving Z'H Z e = g_<n - g_n for Z = [I; -1'].
+    A system is singular exactly when the price graph is disconnected, so a
+    stack of at most _STACK_ENTRIES Hessian entries is singular as a whole
+    and then gives d = 0."""
     n, r = Y.shape
-    w = max(1, _STACK_ENTRIES // (n + 1) ** 2)
-    if r <= w:
-        try:
-            return _kkt_step(_cost_hessian(Y, B, Bsum), G.T).T
-        except np.linalg.LinAlgError:
-            if r == 1:
-                return np.zeros_like(Y)
-            w = 1
-    return np.hstack(
-        [_test_steps(Y[:, j : j + w], G[:, j : j + w], B, Bsum) for j in range(0, r, w)]
-    )
+    w = max(1, _STACK_ENTRIES // (n * n))
+    if r > w:
+        return np.hstack(
+            [_test_steps(Y[:, j : j + w], G[:, j : j + w], B, Bsum) for j in range(0, r, w)]
+        )
+    H = _cost_hessian(Y, B, Bsum)
+    K = H[:, :-1, :-1] - H[:, -1:, :-1]  # Z'H Z: less the last row,
+    K -= H[:, :-1, -1:] - H[:, -1:, -1:]  # then less the last column
+    try:
+        E = np.linalg.solve(K, (G[:-1] - G[-1]).T[:, :, None])[:, :, 0].T
+    except np.linalg.LinAlgError:
+        return np.zeros_like(Y)
+    return np.concatenate([E, -E.sum(axis=0, keepdims=True)])
 
 
 def _residual(R: np.ndarray) -> float:
@@ -279,15 +279,16 @@ def solve_llr(
     1. Start at the no-information corner of the best uninformed action.
     2. On the supported columns, take equality-constrained Newton steps
        (row sums held at 1), halving the step until it stays positive and
-       the objective, concave along it, has risen or not yet peaked.  A column the full step drives out of the
-       simplex is dropped as exact zeros when dropping it at that boundary
-       does not lower the objective.  More columns than states are
-       linearly dependent; the objective is then linear along a rescaling
-       of the columns, which is followed until one column vanishes.  The
-       Hessian is block-diagonal over columns and the row sums are its only
-       coupling, so each step eliminates the last column's direction and
-       solves one (k-1)n-square system, k columns on n states, in the
-       null space of the row-sum constraint.
+       the objective, concave along it, has risen or not yet peaked.  A
+       column the full step drives out of the simplex is dropped as exact
+       zeros when dropping it at that boundary does not lower the
+       objective.  More columns than states are linearly dependent; the
+       objective is then linear along a rescaling of the columns, which is
+       followed until one column vanishes.  The Hessian is block-diagonal
+       over columns and the row sums are its only coupling, so each step
+       eliminates the last column's direction and solves one
+       (k-1)n-square system, k columns on n states, in the null space of
+       the row-sum constraint.
     3. Once the first-order residual on the support is within tol, price
        the states at lam_i = sum_a P_ia (w_a - grad f(P[:, a]))_i and test
        every excluded action b with v_b = max over the simplex of
@@ -297,9 +298,11 @@ def solve_llr(
        in proportion to its maximiser.  Each test starts from its own last
        maximiser in this solve (the uniform point the first time) and
        stops once the upper bound or the gap between the bounds is within
-       tol, or its step no longer moves y; the open tests take damped
-       Newton steps together, one stacked KKT solve per step and a halving
-       per test.
+       tol, or its step no longer moves y.  The open tests take damped
+       Newton steps together, a halving per test: each step eliminates the
+       last state's entry of every direction and solves one stack of
+       (n-1)-square systems, singular all together when the price graph is
+       disconnected, and then no test moves.
     4. If every test is within tol the rule is optimal: return it as
        converged.  Otherwise add the action with the largest lower bound
        (lowest index on ties) along its maximiser, by the same halving

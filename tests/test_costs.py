@@ -120,6 +120,25 @@ class TestBetaMatrix:
             with pytest.raises(ValidationError):
                 one_dimensional_betas(states, kappa)
 
+    def test_rule_form_is_checked_on_construction(self):
+        # a rule passed to BetaMatrix directly meets the constructors' checks
+        states = _grid_states(2)
+        for rule in (
+            ("one_dimensional", -1.0),
+            ("inverse_square", math.nan),
+            ("inverse_square",),
+            "ab",
+        ):
+            with pytest.raises(ValidationError):
+                BetaMatrix(states, None, rule)
+        with pytest.raises(ValidationError, match="unknown rule"):
+            BetaMatrix(states, None, ("nope", 1.0))
+        with pytest.raises(MissingValues):
+            BetaMatrix(StateSpace(("a", "b")), None, ("one_dimensional", 1.0))
+        beta = BetaMatrix(states, None, ("one_dimensional", 2))
+        assert beta.rule == ("one_dimensional", 2.0)
+        np.testing.assert_array_equal(beta.dense(), [[0.0, 1.0], [1.0, 0.0]])
+
     def test_huge_grids_stay_lazy(self):
         states = _grid_states(3000)
         beta = inverse_square_betas(states, 1.0)

@@ -50,7 +50,7 @@ from infocost.errors import (
     ValidationError,
     ZeroProbabilityOnSupport,
 )
-from infocost.solver import _cost_hessian, _support_step
+from infocost.solver import _cost_hessian, _support_step, _test_steps
 
 
 def _matching_problem(payoff=1.0):
@@ -200,10 +200,22 @@ class TestSolveOptions:
         assert o.tol == 1e-8 and o.max_iter == 200000
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            SolveOptions(tol=0.0)
-        with pytest.raises(ValidationError):
-            SolveOptions(max_iter=0)
+        # a fractional max_iter once reached solve_llr and failed there as
+        # a TypeError on a slice index
+        for kw in (
+            {"tol": 0.0},
+            {"tol": math.inf},
+            {"tol": math.nan},
+            {"tol": "1e-8"},
+            {"tol": None},
+            {"max_iter": 0},
+            {"max_iter": 1000.5},
+            {"max_iter": True},
+            {"max_iter": "10"},
+        ):
+            with pytest.raises(ValidationError):
+                SolveOptions(**kw)
+        assert SolveOptions(tol=np.float64(1e-6), max_iter=np.int64(5)).max_iter == 5
 
 
 class TestObjective:
@@ -516,8 +528,8 @@ class TestSolveLLR:
 
     def test_stacked_tests_match_one_at_a_time(self, monkeypatch):
         # the per-action test systems are solved in stacks, split above
-        # _STACK_ENTRIES entries and system by system when one is singular,
-        # as with all prices zero
+        # _STACK_ENTRIES Hessian entries; with all prices zero every system
+        # of a stack is singular, and every test direction is zero
         grid = _quadratic_grid(np.linspace(0.0, 1.0, 15), 12)
         free = rand_problem(Xoshiro256(5), 4, 4)
         cases = [
@@ -597,6 +609,50 @@ def test_support_step_is_the_bordered_kkt_direction():
     with pytest.raises(np.linalg.LinAlgError):
         _support_step(X, np.ones((4, 2)), B, B.sum(axis=1))
 
+
+def _random_prices(rng, n):
+    """Connected prices with some one-directional zeros: B[i, i+1] = 0 for
+    even i, every other off-diagonal price in [0.01, 2]."""
+    B = rng.uniform(0.01, 2.0, size=(n, n))
+    np.fill_diagonal(B, 0.0)
+    B[np.arange(0, n - 1, 2), np.arange(1, n, 2)] = 0.0
+    return B
+
+
+def test_test_steps_are_the_bordered_kkt_directions():
+    # the eliminated systems of _test_steps against the bordered KKT
+    # systems [[H, 1], [1', 0]] that hold sum(d) at zero, one per test
+    rng = np.random.default_rng(13)
+    n, r = 6, 5
+    Y = rng.uniform(0.05, 1.0, size=(n, r))
+    Y /= Y.sum(axis=0)
+    G = rng.normal(size=(n, r))
+    B = _random_prices(rng, n)
+    Bsum = B.sum(axis=1)
+    D = _test_steps(Y, G, B, Bsum)
+    for j, H in enumerate(_cost_hessian(Y, B, Bsum)):
+        M = np.ones((n + 1, n + 1))
+        M[:n, :n], M[n, n] = H, 0.0
+        want = np.linalg.solve(M, np.append(G[:, j], 0.0))[:n]
+        assert np.max(np.abs(D[:, j] - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(D.sum(axis=0))) <= 1e-15
+    # all prices zero: every system of the stack is singular
+    zero = np.zeros((n, n))
+    np.testing.assert_array_equal(_test_steps(Y, G, zero, zero.sum(axis=1)), 0.0)
+
+
+def test_cost_hessian_quadratic_form():
+    # v'H v = sum_ij B_ij x_i (v_i / x_i - v_j / x_j)^2 for each column x
+    rng = np.random.default_rng(14)
+    n = 6
+    X = rng.uniform(0.05, 1.0, size=(n, 4))
+    B = _random_prices(rng, n)
+    for x, H in zip(X.T, _cost_hessian(X, B, B.sum(axis=1))):
+        v = rng.normal(size=n)
+        ratio = v / x
+        want = np.sum(B * x[:, None] * (ratio[:, None] - ratio[None, :]) ** 2)
+        assert v @ H @ v == pytest.approx(want, rel=1e-12)
+        assert np.max(np.abs(H @ x)) <= 1e-12 * np.max(np.abs(H))
 
 class TestSolveMutualInformation:
     def test_symmetric_closed_form(self):
