@@ -45,8 +45,9 @@ from .experiments import (
     posterior_distribution,
 )
 
-# materialization cap for dense coefficient matrices built from rules; its
-# square caps the value span of the FFT crossing count
+# largest rule-backed matrix dense() builds; above it, rules on integer
+# grids whose values span at most its square price through _rule_apply, and
+# that span cap also bounds the FFT crossing count
 _DENSE_CAP = 2048
 # largest value span for which partition aggregation runs in exact integers
 _EXACT_SPAN_CAP = 2048
@@ -58,10 +59,12 @@ class BetaMatrix:
 
     Either an explicit coefficient matrix (diagonal ignored) or a rule
     (name, kappa), "one_dimensional" or "inverse_square", on states with
-    values.  A rule's matrix is built here for at most _DENSE_CAP states and
-    left lazy beyond: one-dimensional inverse-square rules are used on grids
-    far too large to materialize, where only partition coefficients price
-    them.  Rules come from the constructors below.
+    values.  A rule keeps no matrix: coef stays None, and dense() builds a
+    fresh read-only one on each call, for at most _DENSE_CAP states.  Above
+    that, on integer grids whose values span at most _DENSE_CAP**2 points,
+    the prices are applied by FFT (_rule_apply), so llr_cost, normal_cost,
+    posterior_separable_value and partition coefficients work on grids far
+    too large to materialize.  Rules come from the constructors below.
     """
 
     states: StateSpace
@@ -81,11 +84,6 @@ class BetaMatrix:
             if not (isinstance(kappa, numbers.Real) and 0 < kappa < math.inf):
                 raise ValidationError(f"kappa = {kappa!r} must be positive")
             object.__setattr__(self, "rule", (name, float(kappa)))
-            if coef is None and self.states.n <= _DENSE_CAP:
-                v = np.asarray(self.states.values, dtype=float)
-                diff = v[:, None] - v[None, :]
-                np.fill_diagonal(diff, 1.0)  # placeholder, diagonal zeroed below
-                coef = _rule_scale(self.rule, self.states.n) / diff**2
         if coef is None:
             if self.rule is None:
                 raise IncompleteInput("need a coefficient matrix or a rule")
@@ -109,18 +107,82 @@ class BetaMatrix:
         return self.states.n
 
     def dense(self) -> np.ndarray:
-        """Materialized coefficient matrix with zero diagonal."""
-        if self.coef is None:
+        """Materialized coefficient matrix with zero diagonal; a rule's is
+        built afresh on each call, and refused above _DENSE_CAP states."""
+        if self.coef is not None:
+            return self.coef
+        if self.n > _DENSE_CAP:
             raise ValidationError(
                 f"{self.n} states: coefficient matrix too large to materialize"
             )
-        return self.coef
+        # c / (v_i - v_j)^2 in one n x n buffer, as it runs on every call
+        v = np.asarray(self.states.values, dtype=float)
+        coef = v[:, None] - v[None, :]
+        np.fill_diagonal(coef, 1.0)  # placeholder, diagonal zeroed below
+        coef **= 2
+        np.divide(_rule_scale(self.rule, self.n), coef, out=coef)
+        if not np.isfinite(coef).all():
+            raise ValidationError("non-finite off-diagonal coefficient")
+        np.fill_diagonal(coef, 0.0)
+        coef.flags.writeable = False
+        return coef
 
 
 def _rule_scale(rule: tuple[str, float], n: int) -> float:
     """Constant c such that beta_ij = c / (v_i - v_j)^2."""
     name, kappa = rule
     return kappa / (n * (n - 1)) if name == "one_dimensional" else kappa
+
+
+def _rule_grid(beta: BetaMatrix) -> np.ndarray | None:
+    """A rule's state values as int64 offsets from the smallest, when they
+    are integers spanning at most _DENSE_CAP**2 points, else None (also for
+    a matrix beta).  Offsets, not values, so that integers beyond int64
+    such as 1e19 still count; the float subtraction is exact there."""
+    if beta.rule is None:
+        return None
+    vals = np.asarray(beta.states.values)
+    ints = np.rint(vals)
+    if np.all(vals == ints) and ints.max() - ints.min() + 1 <= _DENSE_CAP**2:
+        return (ints - ints.min()).astype(np.int64)
+    return None
+
+
+def _by_rule(beta: BetaMatrix) -> bool:
+    """Whether beta prices through _rule_apply: a rule with more than
+    _DENSE_CAP states on an integer grid.  Every other beta uses dense(),
+    which refuses a rule above the cap."""
+    return beta.coef is None and beta.n > _DENSE_CAP and _rule_grid(beta) is not None
+
+
+def _spread(vals: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, int]:
+    """The (k, n) rows of X with entry j placed at value vals[j] on [min(vals),
+    max(vals)], zeros between, and the FFT length, the least power of two
+    >= 2 (span + 1), that holds a correlation over the span unwrapped."""
+    at = vals - vals.min()
+    span = int(at.max())
+    grid = np.zeros((len(X), span + 1))
+    for row, x in zip(grid, X):
+        row[at] = x  # one row at a time: 4x faster than grid[:, at] = X
+    return grid, 1 << (2 * span + 1).bit_length()
+
+
+def _rule_apply(beta: BetaMatrix, X: np.ndarray) -> np.ndarray:
+    """B @ X for the (n, k) matrix X and a rule on an integer grid
+    (_rule_grid), without building B.
+
+    beta_ij = c / (v_i - v_j)^2 depends only on the value distance, so each
+    column of B @ X is that column, spread over the value span, convolved
+    with the kernel c / d^2 (0 at d = 0): one FFT product per column, in
+    time and memory that grow with the span rather than with n^2.
+    """
+    vals = _rule_grid(beta)
+    grid, size = _spread(vals, X.T)
+    d = np.arange(1, grid.shape[1])
+    kernel = np.zeros(size)
+    kernel[d] = kernel[size - d] = 1.0 / d.astype(float) ** 2
+    BX = np.fft.irfft(np.fft.rfft(grid, size) * np.fft.rfft(kernel), size)
+    return _rule_scale(beta.rule, beta.n) * BX[:, vals].T  # vals are offsets
 
 
 def one_dimensional_betas(states: StateSpace, kappa: float) -> BetaMatrix:
@@ -180,7 +242,16 @@ def llr_cost(mu: Experiment, beta: BetaMatrix) -> float:
     """Weighted sum of pairwise KL divergences between the state rows."""
     if mu.states != beta.states:
         raise StateSpaceMismatch("experiment and beta disagree on states")
-    return _rule_cost(mu.probs, beta.dense())
+    if not _by_rule(beta):
+        return _rule_cost(mu.probs, beta.dense())
+    # sum_ij B_ij KL_ij = own . (B 1) - sum_s P[:, s] . (B L[:, s]); an
+    # experiment's entries are positive, so every divergence is finite
+    P = mu.probs
+    L = np.log(P)
+    L -= L.mean(axis=0)  # KL sees only L[i, s] - L[j, s]; centring cuts rounding
+    BX = _rule_apply(beta, np.column_stack([np.ones(len(P)), L]))
+    own = np.sum(P * L, axis=1)
+    return float(own @ BX[:, 0] - np.sum(P * BX[:, 1:]))
 
 
 def llr_cost_from_distribution(dist: LLRDistribution, beta: BetaMatrix) -> float:
@@ -225,6 +296,11 @@ def normal_cost(means: Sequence[float], sigma: float, beta: BetaMatrix) -> float
     sigma = float(sigma)
     if not (sigma > 0) or not math.isfinite(sigma):
         raise SigmaNonPositive(f"sigma = {sigma!r}")
+    if _by_rule(beta):
+        # ((B 1) . m^2 - m . B m) / sigma^2, unchanged by a shift of m
+        m = m - m.mean()
+        BX = _rule_apply(beta, np.column_stack([np.ones_like(m), m]))
+        return float((BX[:, 0] @ m**2 - m @ BX[:, 1]) / sigma**2)
     diff = m[None, :] - m[:, None]
     return float(np.sum(beta.dense() * diff**2) / (2.0 * sigma**2))
 
@@ -260,6 +336,12 @@ def posterior_separable_value(beta: BetaMatrix, prior, p) -> float:
     q = _full_support_row(prior, beta.n, "prior", error=PriorNotFullSupport)
     p = _full_support_row(p, beta.n, "posterior")
     lp = np.log(p)
+    if _by_rule(beta):
+        # sum_i (p_i / q_i) (ln p_i (B 1)_i - (B ln p)_i), unchanged by a
+        # shift of ln p
+        lp -= lp.mean()
+        BX = _rule_apply(beta, np.column_stack([np.ones_like(lp), lp]))
+        return float((p / q) @ (lp * BX[:, 0] - BX[:, 1]))
     M = lp[:, None] - lp[None, :]
     return float(np.sum(beta.dense() * (p / q)[:, None] * M))
 
@@ -295,9 +377,10 @@ class Hypothesis:
             raise ValidationError(bad)
         members = frozenset(map(int, members))
         object.__setattr__(self, "members", members)
-        if not all(0 <= i < self.states.n for i in members):
+        n = self.states.n
+        if members and not (0 <= min(members) and max(members) < n):
             raise ValidationError("member index out of range")
-        if not 0 < len(members) < self.states.n:
+        if not 0 < len(members) < n:
             raise ValidationError("hypothesis must be proper and non-empty")
 
 
@@ -314,20 +397,19 @@ def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
     """
     if beta.states != h.states:
         raise StateSpaceMismatch("hypothesis and beta disagree on states")
-    mask = np.zeros(beta.n, dtype=bool)
-    mask[list(h.members)] = True
-    if beta.rule is not None and beta.states.values is not None:
-        vals = np.asarray(beta.states.values)
-        ints = np.rint(vals)
-        span = ints.max() - ints.min()
-        if np.all(vals == ints) and span + 1 <= _DENSE_CAP**2:
-            return _partition_by_distance(
-                ints.astype(np.int64),
-                mask,
-                _rule_scale(beta.rule, beta.n),
-            )
+    mask = _member_mask(h)
+    vals = _rule_grid(beta)
+    if vals is not None:
+        return _partition_by_distance(vals, mask, _rule_scale(beta.rule, beta.n))
     coef = beta.dense()
     return float(coef[np.ix_(mask, ~mask)].sum() + coef[np.ix_(~mask, mask)].sum())
+
+
+def _member_mask(h: Hypothesis) -> np.ndarray:
+    """Boolean mask over the states, True on the hypothesis' members."""
+    mask = np.zeros(h.states.n, dtype=bool)
+    mask[list(h.members)] = True
+    return mask
 
 
 def _crossing_counts(vals: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -338,17 +420,9 @@ def _crossing_counts(vals: np.ndarray, member: np.ndarray) -> np.ndarray:
     [min(vals), max(vals)], rounded back to exact integers, so time and
     memory grow with the span of the values.
     """
-    vmin = int(vals.min())
-    span = int(vals.max()) - vmin
-    a = np.zeros(span + 1)
-    b = np.zeros(span + 1)
-    a[vals[member] - vmin] = 1.0
-    b[vals[~member] - vmin] = 1.0
-    size = 1
-    while size < 2 * (span + 1):
-        size *= 2
-    fa = np.fft.rfft(a, size)
-    fb = np.fft.rfft(b, size)
+    grid, size = _spread(vals, np.stack([member, ~member]))
+    span = grid.shape[1] - 1
+    fa, fb = (np.fft.rfft(row, size) for row in grid)
     corr = np.fft.irfft(np.conj(fa) * fb + np.conj(fb) * fa, size)[: span + 1]
     counts = np.rint(corr)
     if np.max(np.abs(corr - counts)) > 0.25:
@@ -385,10 +459,8 @@ def partition_experiment(h: Hypothesis, alpha: float) -> Experiment:
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"alpha = {alpha!r} outside (0, 1)")
-    n = h.states.n
-    probs = np.empty((n, 2))
-    for i in range(n):
-        probs[i] = (alpha, 1 - alpha) if i in h.members else (1 - alpha, alpha)
+    member = _member_mask(h)[:, None]
+    probs = np.where(member, (alpha, 1 - alpha), (1 - alpha, alpha))
     return Experiment(h.states, ("in", "out"), probs)
 
 

@@ -95,12 +95,9 @@ def gdp_rows(kappa: float = 1.0) -> Rows:
     values = range(20000, 80001)
     states = StateSpace(tuple(str(v) for v in values), values)
     beta = inverse_square_betas(states, kappa)
-    h1 = Hypothesis(
-        states, frozenset(i for i, v in enumerate(states.values) if v >= 50000)
-    )
-    h2 = Hypothesis(
-        states, frozenset(i for i, v in enumerate(states.values) if v % 2 == 0)
-    )
+    v = np.asarray(states.values)
+    h1 = Hypothesis(states, frozenset(np.flatnonzero(v >= 50000).tolist()))
+    h2 = Hypothesis(states, frozenset(np.flatnonzero(v % 2 == 0).tolist()))
     return [
         ("H1", partition_coefficient(beta, h1)),
         ("H2", partition_coefficient(beta, h2)),

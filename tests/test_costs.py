@@ -8,6 +8,8 @@ arithmetic and rounds once, mirroring what the fast path guarantees.
 
 import json
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -43,7 +45,7 @@ from infocost import (
     uninformative_experiment,
     verification_asymmetry,
 )
-from infocost.costs import _crossing_counts
+from infocost.costs import _crossing_counts, _rule_apply
 from infocost.errors import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -145,6 +147,31 @@ class TestBetaMatrix:
         assert beta.coef is None
         with pytest.raises(ValidationError):
             beta.dense()
+
+    @pytest.mark.parametrize("rule", ["one_dimensional", "inverse_square"])
+    def test_rule_keeps_no_matrix(self, rule):
+        # construction checks the rule and stores nothing of size n^2;
+        # dense() builds the formula's matrix, read-only, on each call
+        states = _grid_states(2000, start=-700, step=3)
+        tracemalloc.start()
+        try:
+            beta = BetaMatrix(states, None, (rule, 1.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert beta.coef is None
+        dense = beta.dense()
+        assert not dense.flags.writeable
+        with pytest.raises(ValueError):
+            dense[0, 1] = 0.0
+        c = 1.5 / (2000 * 1999) if rule == "one_dimensional" else 1.5
+        rng = Xoshiro256(40)
+        for _ in range(200):
+            i, j = rng.randint(0, 1999), rng.randint(0, 1999)
+            d = states.values[i] - states.values[j]
+            assert dense[i, j] == (0.0 if i == j else c / d**2)
+        assert np.all(np.diag(dense) == 0.0)
 
 
 class TestBetaJson:
@@ -551,6 +578,15 @@ class TestPartition:
         want = coef[1, [0, 2]].sum() + coef[[0, 2], 1].sum()
         assert partition_coefficient(beta, h) == want
 
+    def test_integer_values_beyond_int64_take_the_fft_count(self):
+        # integers near 1e19 overflow int64; the count runs on offsets
+        states = StateSpace(("a", "b", "c"), (1e19, 1e19 + 2048, 1e19 + 4096))
+        beta = inverse_square_betas(states, 1.0)
+        h = Hypothesis(states, frozenset({1}))
+        coef = beta.dense()
+        want = coef[1, [0, 2]].sum() + coef[[0, 2], 1].sum()
+        assert partition_coefficient(beta, h) == pytest.approx(want, rel=1e-15)
+
     def test_wide_value_span_beyond_the_dense_cap_raises(self):
         vals = tuple(range(0, 3000 * 10**4, 10**4))
         states = StateSpace(tuple(str(v) for v in vals), vals)
@@ -558,10 +594,10 @@ class TestPartition:
         with pytest.raises(ValidationError, match="too large"):
             partition_coefficient(inverse_square_betas(states, 1.0), h)
 
-    def test_other_rule_prices_refuse_grids_too_large_to_materialize(self):
-        # only the partition coefficients have a lazy form; the dense
-        # prices refuse the grid instead of building 3000 x 3000 entries
-        states = _grid_states(3000)
+    def test_rule_prices_refuse_non_integer_grids_too_large_to_materialize(self):
+        # only integer grids have the FFT operator; above the dense cap the
+        # other grids refuse instead of building 3000 x 3000 entries
+        states = _grid_states(3000, step=0.5)
         beta = one_dimensional_betas(states, 1.0)
         mu = partition_experiment(Hypothesis(states, frozenset(range(1500))), 0.9)
         uniform = np.full(3000, 1.0 / 3000)
@@ -571,6 +607,59 @@ class TestPartition:
             normal_cost(np.arange(3000.0), 1.0, beta)
         with pytest.raises(ValidationError, match="too large"):
             posterior_separable_value(beta, uniform, uniform)
+
+    @pytest.mark.parametrize("rule", ["one_dimensional", "inverse_square"])
+    def test_rule_apply_matches_dense(self, rule):
+        # integer grids with gaps and negative values, below the cap so the
+        # dense product is the reference
+        rng = Xoshiro256(41)
+        for _ in range(6):
+            n = rng.randint(2, 300)
+            vals = sorted({rng.randint(-3000, 3000) for _ in range(2 * n)})[:n]
+            states = StateSpace(tuple(f"v{v}" for v in vals), vals)
+            beta = BetaMatrix(states, None, (rule, rng.uniform_in(0.2, 3.0)))
+            X = np.array(
+                [[rng.uniform_in(0.1, 2.0) for _ in range(3)] for _ in range(n)]
+            )
+            np.testing.assert_allclose(
+                _rule_apply(beta, X), beta.dense() @ X, rtol=1e-12, atol=0.0
+            )
+
+    @pytest.mark.parametrize("rule", ["one_dimensional", "inverse_square"])
+    @pytest.mark.parametrize("question", ["threshold", "parity"])
+    def test_gdp_experiments_price_like_their_tests(self, rule, question):
+        # the paper's GDP example end to end: the explicit two-signal
+        # experiment on 60,001 states costs what its partition coefficient
+        # says, although most of the price mass sits on within-class pairs
+        # that the operator's sum must cancel
+        vals = np.arange(20000, 80001)
+        states = StateSpace(tuple(str(v) for v in vals), vals)
+        beta = BetaMatrix(states, None, (rule, 1.0))
+        mask = vals >= 50000 if question == "threshold" else vals % 2 == 0
+        h = Hypothesis(states, frozenset(np.flatnonzero(mask).tolist()))
+        for alpha in (0.6, 0.9, 0.999):
+            t0 = time.perf_counter()
+            got = llr_cost(partition_experiment(h, alpha), beta)
+            assert time.perf_counter() - t0 < 1.0
+            want = hypothesis_test_cost(beta, h, alpha)
+            assert got == pytest.approx(want, rel=1e-9)
+
+    def test_other_rule_prices_run_above_the_dense_cap(self):
+        n = 3000
+        states = _grid_states(n)
+        kappa, sigma = 2.5, 1.7
+        beta = one_dimensional_betas(states, kappa)
+        # means equal to the values: kappa / (2 sigma^2) on every grid
+        got = normal_cost(np.arange(n) + 1e4, sigma, beta)
+        assert got == pytest.approx(kappa / (2 * sigma**2), rel=1e-11)
+        # the posterior route prices through posterior_separable_value
+        mu = partition_experiment(Hypothesis(states, frozenset(range(0, n, 3))), 0.8)
+        prior = np.linspace(1.0, 2.0, n)
+        prior /= prior.sum()
+        cost = llr_cost(mu, beta)
+        assert llr_cost_via_posteriors(mu, beta, prior) == pytest.approx(
+            cost, rel=1e-9
+        )
 
     def test_gdp_scale_counts_match_closed_forms(self):
         # crossing counts on the 60,001-state income grid, threshold and
