@@ -45,9 +45,9 @@ from .experiments import (
     posterior_distribution,
 )
 
-# largest rule-backed matrix dense() builds; above it, rules on integer
-# grids whose values span at most its square price through _rule_apply, and
-# that span cap also bounds the FFT crossing count
+# largest rule-backed matrix dense() builds; its square caps the value span
+# of the integer grids that price by FFT (_rule_apply, the crossing count)
+# and the FFT points _rule_apply transforms at once
 _DENSE_CAP = 2048
 # largest value span for which partition aggregation runs in exact integers
 _EXACT_SPAN_CAP = 2048
@@ -60,11 +60,12 @@ class BetaMatrix:
     Either an explicit coefficient matrix (diagonal ignored) or a rule
     (name, kappa), "one_dimensional" or "inverse_square", on states with
     values.  A rule keeps no matrix: coef stays None, and dense() builds a
-    fresh read-only one on each call, for at most _DENSE_CAP states.  Above
-    that, on integer grids whose values span at most _DENSE_CAP**2 points,
-    the prices are applied by FFT (_rule_apply), so llr_cost, normal_cost,
-    posterior_separable_value and partition coefficients work on grids far
-    too large to materialize.  Rules come from the constructors below.
+    fresh read-only one on each call, for at most _DENSE_CAP states.  On
+    integer grids whose values span at most _DENSE_CAP**2 points, llr_cost,
+    normal_cost and posterior_separable_value apply the prices by FFT
+    (_rule_apply) whenever that takes fewer points than the matrix has
+    entries, at any size, so they and partition coefficients work on grids
+    far too large to materialize.  Rules come from the constructors below.
     """
 
     states: StateSpace
@@ -148,41 +149,59 @@ def _rule_grid(beta: BetaMatrix) -> np.ndarray | None:
     return None
 
 
-def _by_rule(beta: BetaMatrix) -> bool:
-    """Whether beta prices through _rule_apply: a rule with more than
-    _DENSE_CAP states on an integer grid.  Every other beta uses dense(),
-    which refuses a rule above the cap."""
-    return beta.coef is None and beta.n > _DENSE_CAP and _rule_grid(beta) is not None
+def _rule_offsets(beta: BetaMatrix, cols: int) -> np.ndarray | None:
+    """The offsets of _rule_grid when _rule_apply on `cols` columns takes no
+    more FFT points than the n x n matrix it replaces has entries, else None
+    (also for a matrix beta): dense() then prices beta, as on tiny or sparse
+    wide grids, and refuses a rule above _DENSE_CAP states."""
+    if beta.coef is not None:
+        return None
+    vals = _rule_grid(beta)
+    if vals is None or _fft_size(int(vals.max())) * cols > beta.n**2:
+        return None
+    return vals
 
 
-def _spread(vals: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, int]:
-    """The (k, n) rows of X with entry j placed at value vals[j] on [min(vals),
-    max(vals)], zeros between, and the FFT length, the least power of two
-    >= 2 (span + 1), that holds a correlation over the span unwrapped."""
+def _fft_size(span: int) -> int:
+    """The least power of two >= 2 (span + 1): holds a correlation over
+    [0, span] unwrapped."""
+    return 1 << (2 * span + 1).bit_length()
+
+
+def _spread(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (k, span + 1) rows of X with entry j placed at value vals[j] on
+    [min(vals), max(vals)], zeros between."""
     at = vals - vals.min()
-    span = int(at.max())
-    grid = np.zeros((len(X), span + 1))
+    grid = np.zeros((len(X), int(at.max()) + 1))
     for row, x in zip(grid, X):
         row[at] = x  # one row at a time: 4x faster than grid[:, at] = X
-    return grid, 1 << (2 * span + 1).bit_length()
+    return grid
 
 
-def _rule_apply(beta: BetaMatrix, X: np.ndarray) -> np.ndarray:
-    """B @ X for the (n, k) matrix X and a rule on an integer grid
-    (_rule_grid), without building B.
+def _rule_apply(beta: BetaMatrix, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """B @ X for the (n, k) matrix X and a rule on the integer offsets vals
+    (_rule_offsets), without building B.
 
     beta_ij = c / (v_i - v_j)^2 depends only on the value distance, so each
     column of B @ X is that column, spread over the value span, convolved
     with the kernel c / d^2 (0 at d = 0): one FFT product per column, in
-    time and memory that grow with the span rather than with n^2.
+    time and memory that grow with the span rather than with n^2.  Columns
+    go through in blocks of at most _DENSE_CAP**2 FFT points (one column at
+    least), which bounds the memory whatever k is.
     """
-    vals = _rule_grid(beta)
-    grid, size = _spread(vals, X.T)
-    d = np.arange(1, grid.shape[1])
+    span = int(vals.max())
+    size = _fft_size(span)
+    d = np.arange(1, span + 1)
     kernel = np.zeros(size)
     kernel[d] = kernel[size - d] = 1.0 / d.astype(float) ** 2
-    BX = np.fft.irfft(np.fft.rfft(grid, size) * np.fft.rfft(kernel), size)
-    return _rule_scale(beta.rule, beta.n) * BX[:, vals].T  # vals are offsets
+    fk = np.fft.rfft(kernel)
+    step = max(1, _DENSE_CAP**2 // size)
+    BX = np.empty(X.shape)
+    for lo in range(0, X.shape[1], step):
+        grid = _spread(vals, X[:, lo : lo + step].T)
+        block = np.fft.irfft(np.fft.rfft(grid, size) * fk, size)
+        BX[:, lo : lo + step] = block[:, vals].T  # vals are offsets
+    return _rule_scale(beta.rule, beta.n) * BX
 
 
 def one_dimensional_betas(states: StateSpace, kappa: float) -> BetaMatrix:
@@ -242,14 +261,15 @@ def llr_cost(mu: Experiment, beta: BetaMatrix) -> float:
     """Weighted sum of pairwise KL divergences between the state rows."""
     if mu.states != beta.states:
         raise StateSpaceMismatch("experiment and beta disagree on states")
-    if not _by_rule(beta):
-        return _rule_cost(mu.probs, beta.dense())
+    P = mu.probs
+    vals = _rule_offsets(beta, P.shape[1] + 1)
+    if vals is None:
+        return _rule_cost(P, beta.dense())
     # sum_ij B_ij KL_ij = own . (B 1) - sum_s P[:, s] . (B L[:, s]); an
     # experiment's entries are positive, so every divergence is finite
-    P = mu.probs
     L = np.log(P)
     L -= L.mean(axis=0)  # KL sees only L[i, s] - L[j, s]; centring cuts rounding
-    BX = _rule_apply(beta, np.column_stack([np.ones(len(P)), L]))
+    BX = _rule_apply(beta, vals, np.column_stack([np.ones(len(P)), L]))
     own = np.sum(P * L, axis=1)
     return float(own @ BX[:, 0] - np.sum(P * BX[:, 1:]))
 
@@ -296,13 +316,15 @@ def normal_cost(means: Sequence[float], sigma: float, beta: BetaMatrix) -> float
     sigma = float(sigma)
     if not (sigma > 0) or not math.isfinite(sigma):
         raise SigmaNonPositive(f"sigma = {sigma!r}")
-    if _by_rule(beta):
+    vals = _rule_offsets(beta, 2)
+    if vals is not None:
         # ((B 1) . m^2 - m . B m) / sigma^2, unchanged by a shift of m
         m = m - m.mean()
-        BX = _rule_apply(beta, np.column_stack([np.ones_like(m), m]))
+        BX = _rule_apply(beta, vals, np.column_stack([np.ones_like(m), m]))
         return float((BX[:, 0] @ m**2 - m @ BX[:, 1]) / sigma**2)
+    B = beta.dense()  # before the n x n differences: it may refuse
     diff = m[None, :] - m[:, None]
-    return float(np.sum(beta.dense() * diff**2) / (2.0 * sigma**2))
+    return float(np.sum(B * diff**2) / (2.0 * sigma**2))
 
 
 def _mutual_information(q: np.ndarray, P: np.ndarray) -> float:
@@ -336,14 +358,16 @@ def posterior_separable_value(beta: BetaMatrix, prior, p) -> float:
     q = _full_support_row(prior, beta.n, "prior", error=PriorNotFullSupport)
     p = _full_support_row(p, beta.n, "posterior")
     lp = np.log(p)
-    if _by_rule(beta):
+    vals = _rule_offsets(beta, 2)
+    if vals is not None:
         # sum_i (p_i / q_i) (ln p_i (B 1)_i - (B ln p)_i), unchanged by a
         # shift of ln p
         lp -= lp.mean()
-        BX = _rule_apply(beta, np.column_stack([np.ones_like(lp), lp]))
+        BX = _rule_apply(beta, vals, np.column_stack([np.ones_like(lp), lp]))
         return float((p / q) @ (lp * BX[:, 0] - BX[:, 1]))
+    B = beta.dense()  # before the n x n differences: it may refuse
     M = lp[:, None] - lp[None, :]
-    return float(np.sum(beta.dense() * (p / q)[:, None] * M))
+    return float(np.sum(B * (p / q)[:, None] * M))
 
 
 def llr_cost_via_posteriors(mu: Experiment, beta: BetaMatrix, prior) -> float:
@@ -420,8 +444,9 @@ def _crossing_counts(vals: np.ndarray, member: np.ndarray) -> np.ndarray:
     [min(vals), max(vals)], rounded back to exact integers, so time and
     memory grow with the span of the values.
     """
-    grid, size = _spread(vals, np.stack([member, ~member]))
+    grid = _spread(vals, np.stack([member, ~member]))
     span = grid.shape[1] - 1
+    size = _fft_size(span)
     fa, fb = (np.fft.rfft(row, size) for row in grid)
     corr = np.fft.irfft(np.conj(fa) * fb + np.conj(fb) * fa, size)[: span + 1]
     counts = np.rint(corr)

@@ -45,7 +45,8 @@ from infocost import (
     uninformative_experiment,
     verification_asymmetry,
 )
-from infocost.costs import _crossing_counts, _rule_apply
+from infocost import costs
+from infocost.costs import _crossing_counts, _rule_apply, _rule_grid
 from infocost.errors import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -609,10 +610,12 @@ class TestPartition:
             posterior_separable_value(beta, uniform, uniform)
 
     @pytest.mark.parametrize("rule", ["one_dimensional", "inverse_square"])
-    def test_rule_apply_matches_dense(self, rule):
+    def test_rule_apply_matches_dense(self, rule, monkeypatch):
         # integer grids with gaps and negative values, below the cap so the
-        # dense product is the reference
+        # dense product is the reference; then again with an FFT budget so
+        # small that the columns go through one at a time
         rng = Xoshiro256(41)
+        cases = []
         for _ in range(6):
             n = rng.randint(2, 300)
             vals = sorted({rng.randint(-3000, 3000) for _ in range(2 * n)})[:n]
@@ -621,9 +624,49 @@ class TestPartition:
             X = np.array(
                 [[rng.uniform_in(0.1, 2.0) for _ in range(3)] for _ in range(n)]
             )
-            np.testing.assert_allclose(
-                _rule_apply(beta, X), beta.dense() @ X, rtol=1e-12, atol=0.0
-            )
+            cases.append((beta, _rule_grid(beta), X, beta.dense() @ X))
+        for budget in (costs._DENSE_CAP, 2):
+            monkeypatch.setattr(costs, "_DENSE_CAP", budget)
+            for beta, offsets, X, want in cases:
+                np.testing.assert_allclose(
+                    _rule_apply(beta, offsets, X), want, rtol=1e-12, atol=0.0
+                )
+
+    def test_sparse_wide_grid_above_the_cap_refuses_without_fft(self):
+        # 2,049 integer states spanning nearly 2048**2 points: the FFT of
+        # 2**23 points per column would outweigh the 2049 x 2049 matrix, so
+        # the rule prices refuse as for any grid too large to materialize
+        vals = [2047 * i for i in range(2049)]
+        states = StateSpace(tuple(f"v{v}" for v in vals), vals)
+        beta = inverse_square_betas(states, 1.0)
+        mu = partition_experiment(Hypothesis(states, frozenset(range(1000))), 0.9)
+        uniform = np.full(2049, 1.0 / 2049)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="too large"):
+                llr_cost(mu, beta)
+            with pytest.raises(ValidationError, match="too large"):
+                normal_cost(np.arange(2049.0), 1.0, beta)
+            with pytest.raises(ValidationError, match="too large"):
+                posterior_separable_value(beta, uniform, uniform)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_sparse_wide_grid_below_the_cap_takes_the_dense_sum(self):
+        # three states spanning 10**6: the 3 x 3 matrix, not 2**21-point FFTs
+        states = StateSpace(("a", "b", "c"), (0, 1, 10**6))
+        beta = one_dimensional_betas(states, 1.0)
+        mu = make_experiment(states, ("x", "y"), [[0.7, 0.3], [0.4, 0.6], [0.2, 0.8]])
+        tracemalloc.start()
+        try:
+            got = llr_cost(mu, beta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert got == float(np.sum(beta.dense() * kl_matrix(mu)))
 
     @pytest.mark.parametrize("rule", ["one_dimensional", "inverse_square"])
     @pytest.mark.parametrize("question", ["threshold", "parity"])
