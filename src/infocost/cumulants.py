@@ -18,6 +18,12 @@ with m(0) = 1.  It equals, term for term after grouping, the alternating
 sum over ordered collections of multi-indices that `enumerate_lambda`
 spells out, at a cost polynomial in the box size instead of in the (much
 larger) number of collections.
+
+Every term of alpha's recursion reads only indices of lower total degree,
+so the conversions run grade by grade from one cached plan per box: one
+array expression forms all terms of a grade, and each alpha's terms are
+summed strictly left to right (`np.add.accumulate`), the order and
+rounding of a plain scalar loop on every interpreter.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,6 +50,8 @@ MAX_DIM = 4
 MAX_ORDER = 4
 # refuse literal Lambda enumerations beyond this many ordered collections
 ENUM_CAP = 2_000_000
+# entries of one block of the monomial table that `moments` builds
+TABLE_BLOCK = 1 << 20
 
 
 def _check_box(n: int, order: int):
@@ -56,8 +64,82 @@ def _check_box(n: int, order: int):
 def multi_indices(n: int, order: int) -> list[MultiIndex]:
     """All alpha in {0..order}^n except the zero index, lexicographically."""
     _check_box(n, order)
-    out = [a for a in itertools.product(range(order + 1), repeat=n) if any(a)]
-    return out
+    return list(_plan(n, order).box)
+
+
+class _Plan(NamedTuple):
+    box: tuple[MultiIndex, ...]
+    keys: frozenset
+    grades: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int, order: int) -> _Plan:
+    """The box {0..order}^n minus zero in lexicographic order, and the
+    recursion's terms grouped by total degree.
+
+    Per grade: the box positions `tgt` of its alphas, and (T, len(tgt))
+    arrays B, R, C whose column i holds alpha i's terms (positions of beta
+    and alpha - beta, coefficient) with beta != alpha, beta ascending.  Row
+    0 and the padding below each column point at slot len(box), which holds
+    0.0, with C = 0: every sum starts from +0.0 as Python's `sum` does, and
+    a padded term is exactly 0.0 even when a value has overflowed.
+    """
+    side = order + 1
+    grid = np.indices((side,) * n).reshape(n, -1).T
+    grade = grid.sum(axis=1)
+    box = tuple(map(tuple, grid[1:].tolist()))
+    # a, b: grid rows of alpha and beta; grid row r is box position r - 1
+    a, b, c = _terms(n, order)
+    # row of each term in its alpha's column, below the sentinel row 0
+    idx = np.arange(a.size)
+    first = np.r_[True, a[1:] != a[:-1]]
+    rank = idx - np.maximum.accumulate(np.where(first, idx, 0)) + 1
+    counts = np.bincount(a, minlength=grid.shape[0])
+    col = np.empty(grid.shape[0], dtype=np.intp)
+    grades = []
+    for g in range(1, n * order + 1):
+        rows = np.flatnonzero(grade == g)
+        col[rows] = np.arange(rows.size)
+        sel = grade[a] == g
+        at = (rank[sel], col[a[sel]])
+        shape = (1 + counts[rows].max(), rows.size)
+        B = np.full(shape, len(box))
+        R = np.full(shape, len(box))
+        C = np.zeros(shape)
+        B[at] = b[sel] - 1
+        R[at] = a[sel] - b[sel] - 1
+        C[at] = c[sel]
+        grades.append((rows - 1, B, R, C))
+    return _Plan(box, frozenset(box), tuple(grades))
+
+
+def _terms(n: int, order: int):
+    """Grid rows of alpha and of beta, and the coefficient, of every
+    recursion term with beta != alpha, grouped by alpha, beta ascending.
+
+    Alpha's last non-zero coordinate d contributes C(alpha_d - 1, beta_d - 1)
+    and every other coordinate C(alpha_j, beta_j); beta_j = alpha_j = 0
+    after d.  Over the alphas sharing d, the coefficients on coordinates
+    0..d form a Kronecker product of these binomial tables, zero exactly
+    where some beta_j > alpha_j or beta_d = 0.
+    """
+    side = order + 1
+    comb = np.array([[math.comb(i, j) for j in range(side)] for i in range(side)], float)
+    shifted = np.zeros_like(comb)
+    shifted[1:, 1:] = comb[:-1, :-1]
+    parts = []
+    for d in range(n):
+        K = shifted[1:]
+        for _ in range(d):
+            K = np.kron(comb, K)
+        ka, kb = np.nonzero(K)
+        step = side ** (n - 1 - d)
+        a = (ka // order * side + ka % order + 1) * step
+        b = kb * step
+        keep = a != b
+        parts.append((a[keep], b[keep], K[ka, kb][keep]))
+    return [np.concatenate(x) for x in zip(*parts)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +215,27 @@ class MomentVector:
 
     def __post_init__(self):
         _check_box(self.dim, self.order)
+        plan = _plan(self.dim, self.order)
         vals = dict(self.values)
-        for alpha in multi_indices(self.dim, self.order):
-            if alpha not in vals:
-                raise IncompleteInput(f"missing index {alpha}")
-            if not math.isfinite(vals[alpha]):
-                raise ValidationError(f"non-finite value at {alpha}")
+        arr = None
+        if vals.keys() >= plan.keys:
+            try:
+                arr = np.array([vals[a] for a in plan.box])
+            except ValueError:
+                pass
+        if (
+            arr is None
+            or arr.ndim != 1
+            or arr.dtype.kind not in "biuf"
+            or not np.isfinite(arr).all()
+        ):
+            # name the first bad index in lexicographic order; accept other
+            # real types, such as Fraction, as math.isfinite does
+            for alpha in plan.box:
+                if alpha not in vals:
+                    raise IncompleteInput(f"missing index {alpha}")
+                if not math.isfinite(vals[alpha]):
+                    raise ValidationError(f"non-finite value at {alpha}")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, alpha: MultiIndex) -> float:
@@ -151,19 +248,34 @@ CumulantVector = MomentVector
 def moments(dist: FiniteDistribution, order: int) -> MomentVector:
     """m(alpha) = sum of weight * atom^alpha over the support."""
     _check_box(dist.dim, order)
-    # per-dimension power tables, then products across dimensions
-    powers = [
-        np.vander(dist.atoms[:, d], order + 1, increasing=True)
-        for d in range(dist.dim)
-    ]
-    vals = {}
-    for alpha in multi_indices(dist.dim, order):
-        prod = np.ones(dist.n_atoms)
-        for d, e in enumerate(alpha):
-            if e:
-                prod = prod * powers[d][:, e]
-        vals[alpha] = float(np.dot(dist.weights, prod))
-    return MomentVector(dist.dim, order, vals)
+    n, k, side = dist.dim, dist.n_atoms, order + 1
+    # powers[d, e] = atoms[:, d]**e by repeated multiplication, as np.vander
+    powers = np.ones((n, side, k))
+    powers[:, 1:] = dist.atoms.T[:, None, :]
+    np.multiply.accumulate(powers[:, 1:], axis=1, out=powers[:, 1:])
+    # The monomial table over the whole grid {0..order}^n, lexicographic,
+    # is a product over dimensions in ascending order; a zero exponent
+    # multiplies by exactly 1.0.  Loop over the leading n - inner coordinates
+    # so that one block holds at most TABLE_BLOCK entries (or one row).
+    inner = n
+    while inner and side**inner * k > TABLE_BLOCK:
+        inner -= 1
+    vals = np.empty(side**n)
+    for i, prefix in enumerate(itertools.product(range(side), repeat=n - inner)):
+        table = np.ones((1, k))
+        for d, e in enumerate(prefix):
+            table = table * powers[d, e]
+        for d in range(n - inner, n):
+            table = (table[:, None, :] * powers[d]).reshape(-1, k)
+        # np.dot(weights, row) per row: one ddot from +0.0, or for a single
+        # atom a plain product, which keeps the sign of a zero
+        if k == 1:
+            dots = table[:, 0] * dist.weights[0]
+        else:
+            dots = np.vecdot(table, dist.weights)
+        vals[i * side**inner : (i + 1) * side**inner] = dots
+    # row 0 is the zero index, outside the box
+    return MomentVector(n, order, dict(zip(_plan(n, order).box, vals[1:].tolist())))
 
 
 def _descending_nonzero(alpha: MultiIndex):
@@ -228,47 +340,34 @@ def enumerate_lambda(alpha) -> tuple:
     return _enumerate(alpha)
 
 
-@lru_cache(maxsize=None)
-def _recursion(n: int, order: int) -> tuple:
-    """(alpha, terms) for each alpha of the box in lexicographic order, where
-    terms are the (beta, alpha - beta, coefficient) of the recursion with
-    beta != alpha; the beta = alpha term is kappa(alpha) * m(0).  Every index
-    a term reads precedes alpha.
-    """
-    table = []
-    for alpha in multi_indices(n, order):
-        d = max(j for j, a in enumerate(alpha) if a)
-        # per coordinate j: (beta_j, alpha_j - beta_j, binomial factor)
-        axes = [
-            [(b, a - b, math.comb(a - (j == d), b - (j == d)))
-             for b in range(j == d, a + 1)]
-            for j, a in enumerate(alpha)
-        ]
-        terms = []
-        for parts in itertools.product(*axes):
-            beta, rest, coefs = zip(*parts)
-            if any(rest):
-                terms.append((beta, rest, float(math.prod(coefs))))
-        table.append((alpha, tuple(terms)))
-    return tuple(table)
+def _recurse(vec: MomentVector, to_cumulants: bool) -> dict:
+    """The recursion over vec's box, grade by grade: solved for kappa(alpha)
+    when vec holds moments, summed for m(alpha) when it holds cumulants."""
+    plan = _plan(vec.dim, vec.order)
+    x = np.zeros(len(plan.box) + 1)
+    x[:-1] = [vec.values[a] for a in plan.box]
+    out = np.zeros_like(x)
+    # overflow gives inf or nan, as Python floats do, and the result's
+    # MomentVector refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tgt, B, R, C in plan.grades:
+            if to_cumulants:
+                terms = C * out[B] * x[R]
+                out[tgt] = x[tgt] - np.add.accumulate(terms, axis=0)[-1]
+            else:
+                terms = C * x[B] * out[R]
+                out[tgt] = x[tgt] + np.add.accumulate(terms, axis=0)[-1]
+    return dict(zip(plan.box, out[:-1].tolist()))
 
 
 def moments_to_cumulants(m: MomentVector) -> CumulantVector:
     """kappa(alpha): the recursion solved for its beta = alpha term."""
-    mv = m.values
-    k = {}
-    for alpha, terms in _recursion(m.dim, m.order):
-        k[alpha] = mv[alpha] - sum(c * k[b] * mv[r] for b, r, c in terms)
-    return CumulantVector(m.dim, m.order, k)
+    return CumulantVector(m.dim, m.order, _recurse(m, True))
 
 
 def cumulants_to_moments(k: CumulantVector) -> MomentVector:
-    """m(alpha) by the recursion, in lexicographic order of alpha."""
-    kv = k.values
-    m = {}
-    for alpha, terms in _recursion(k.dim, k.order):
-        m[alpha] = kv[alpha] + sum(c * kv[b] * m[r] for b, r, c in terms)
-    return MomentVector(k.dim, k.order, m)
+    """m(alpha) by the recursion, in order of total degree."""
+    return MomentVector(k.dim, k.order, _recurse(k, False))
 
 
 def cumulants(dist: FiniteDistribution, order: int) -> CumulantVector:

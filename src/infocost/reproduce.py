@@ -92,10 +92,9 @@ def gdp_rows(kappa: float = 1.0) -> Rows:
     H1: GDP is at least 50000 (threshold).  H2: GDP is even (parity).
     Prices follow the unnormalized inverse-square rule kappa/(i-j)^2.
     """
-    values = range(20000, 80001)
-    states = StateSpace(tuple(str(v) for v in values), values)
+    v = np.arange(20000, 80001)
+    states = StateSpace(tuple(v.tolist()), v)
     beta = inverse_square_betas(states, kappa)
-    v = np.asarray(states.values)
     h1 = Hypothesis(states, frozenset(np.flatnonzero(v >= 50000).tolist()))
     h2 = Hypothesis(states, frozenset(np.flatnonzero(v % 2 == 0).tolist()))
     return [

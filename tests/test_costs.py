@@ -47,6 +47,7 @@ from infocost import (
 )
 from infocost import costs
 from infocost.costs import _crossing_counts, _rule_apply, _rule_grid
+from infocost.reproduce import gdp_rows
 from infocost.errors import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -722,6 +723,13 @@ class TestPartition:
         got_parity = _crossing_counts(vals, vals % 2 == 0)
         np.testing.assert_array_equal(got_threshold, threshold)
         np.testing.assert_array_equal(got_parity, parity)
+
+    def test_gdp_rows_keep_their_bits(self):
+        # the reproduction labels its states with their integer values;
+        # labels never reach the coefficients, so both rows keep the bits
+        # they had under string labels
+        got = {name: value.hex() for name, value in gdp_rows(1.0)}
+        assert got == {"H1": "0x1.662d5da1db0e4p+4", "H2": "0x1.2120a1666b53ep+17"}
 
 
 def _asymmetry_reference(eps, kappa):

@@ -5,9 +5,12 @@ check it against the formula it claims to equal: the alternating sum over
 ordered collections of multi-indices, evaluated in exact rational
 arithmetic.  Cumulants are additionally checked against a high-precision
 numerical differentiation of the cumulant generating function, which
-knows nothing about either implementation.
+knows nothing about either implementation.  The whole-array kernels are
+held to the bits of plain per-index loops, kept here as the reference.
 """
 
+import importlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -40,6 +43,8 @@ from infocost.errors import (
 )
 
 LN4 = math.log(4.0)
+# the submodule; the package's `cumulants` name is the function
+CUMULANTS = importlib.import_module("infocost.cumulants")
 
 
 def _mfact(alpha):
@@ -392,3 +397,153 @@ class TestAdditivity:
                 assert ks[alpha] == pytest.approx(
                     ka[alpha] + kb[alpha], rel=1e-9, abs=1e-10
                 )
+
+
+def _scalar_moments(dist, order):
+    """m(alpha) one index at a time: the product over the non-zero
+    exponents, then one dot with the weights."""
+    powers = [
+        np.vander(dist.atoms[:, d], order + 1, increasing=True)
+        for d in range(dist.dim)
+    ]
+    vals = {}
+    for alpha in multi_indices(dist.dim, order):
+        prod = np.ones(dist.n_atoms)
+        for d, e in enumerate(alpha):
+            if e:
+                prod = prod * powers[d][:, e]
+        vals[alpha] = float(np.dot(dist.weights, prod))
+    return vals
+
+
+def _scalar_terms(alpha):
+    """(beta, alpha - beta, coefficient) of alpha's recursion, beta != alpha,
+    beta in lexicographic order."""
+    d = max(j for j, a in enumerate(alpha) if a)
+    axes = [
+        [(b, a - b, math.comb(a - (j == d), b - (j == d)))
+         for b in range(j == d, a + 1)]
+        for j, a in enumerate(alpha)
+    ]
+    for parts in itertools.product(*axes):
+        beta, rest, coefs = zip(*parts)
+        if any(rest):
+            yield beta, rest, float(math.prod(coefs))
+
+
+def _scalar_moments_to_cumulants(mv, dim, order):
+    k = {}
+    for alpha in multi_indices(dim, order):
+        s = 0.0
+        for b, r, c in _scalar_terms(alpha):
+            s += c * k[b] * mv[r]
+        k[alpha] = mv[alpha] - s
+    return k
+
+
+def _scalar_cumulants_to_moments(kv, dim, order):
+    m = {}
+    for alpha in multi_indices(dim, order):
+        s = 0.0
+        for b, r, c in _scalar_terms(alpha):
+            s += c * kv[b] * m[r]
+        m[alpha] = kv[alpha] + s
+    return m
+
+
+def _bits(vals):
+    return {alpha: float(v).hex() for alpha, v in vals.items()}
+
+
+class TestScalarReference:
+    """Same bits as the per-index loops, sums taken left to right."""
+
+    @pytest.mark.parametrize(
+        "dim, order", [(d, o) for d in (1, 2, 3, 4) for o in (2, 3, 4)]
+    )
+    def test_kernels_match_scalar_loops(self, dim, order, monkeypatch):
+        rng = np.random.default_rng([dim, order])
+        three = rng.uniform(-0.6, 0.6, size=(3, dim))
+        origin = np.vstack([np.zeros(dim), rng.uniform(-2.0, 2.0, size=(4, dim))])
+        many = rng.uniform(-1.0, 1.0, size=(40, dim))
+        # a point mass whose odd powers are -0.0
+        point = np.array([[-0.0] * (dim - 1) + [-0.5]])
+        for atoms in (three, origin, many, point):
+            w = rng.uniform(0.1, 1.0, atoms.shape[0])
+            d = finite_distribution(atoms, w / w.sum())
+            want = _scalar_moments(d, order)
+            # whole table, a few rows per block, and one row per block
+            for block in (CUMULANTS.TABLE_BLOCK, 4 * atoms.shape[0], 1):
+                monkeypatch.setattr(CUMULANTS, "TABLE_BLOCK", block)
+                m = moments(d, order)
+                assert _bits(m.values) == _bits(want)
+            k = moments_to_cumulants(m)
+            assert _bits(k.values) == _bits(
+                _scalar_moments_to_cumulants(m.values, dim, order)
+            )
+            back = cumulants_to_moments(k)
+            assert _bits(back.values) == _bits(
+                _scalar_cumulants_to_moments(k.values, dim, order)
+            )
+        # cumulants of mixed signs over six decades
+        box = multi_indices(dim, order)
+        signs = rng.choice([-1.0, 1.0], len(box))
+        kv = dict(zip(box, signs * 10.0 ** rng.uniform(-3, 3, len(box))))
+        got = cumulants_to_moments(CumulantVector(dim, order, kv))
+        assert _bits(got.values) == _bits(
+            _scalar_cumulants_to_moments(kv, dim, order)
+        )
+
+    def test_moments_of_more_atoms_than_one_block(self):
+        # 2,000 atoms at 625 grid rows exceed the block, so the table is
+        # built 125 rows at a time
+        rng = np.random.default_rng(2000)
+        atoms = rng.uniform(-1.0, 1.0, size=(2000, 4))
+        assert 625 * 2000 > CUMULANTS.TABLE_BLOCK
+        d = finite_distribution(atoms, np.full(2000, 1 / 2000))
+        assert _bits(moments(d, 4).values) == _bits(_scalar_moments(d, 4))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_signed_zeros_follow_the_scalar_sums(self, dim):
+        # zeros of mixed sign make terms of -0.0, and a sum of them started
+        # from +0.0 is +0.0, not -0.0
+        rng = np.random.default_rng(dim)
+        box = multi_indices(dim, 3)
+        zeros = dict(zip(box, rng.choice([-0.0, 0.0], len(box))))
+        got = moments_to_cumulants(MomentVector(dim, 3, zeros))
+        assert _bits(got.values) == _bits(_scalar_moments_to_cumulants(zeros, dim, 3))
+        got = cumulants_to_moments(CumulantVector(dim, 3, zeros))
+        assert _bits(got.values) == _bits(_scalar_cumulants_to_moments(zeros, dim, 3))
+
+
+class TestVectorValidation:
+    def test_names_the_first_missing_index(self):
+        box = multi_indices(2, 2)
+        vals = {alpha: 1.0 for alpha in reversed(box) if alpha not in {(0, 2), (1, 1)}}
+        with pytest.raises(IncompleteInput, match=r"missing index \(0, 2\)"):
+            MomentVector(2, 2, vals)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_its_index(self, bad):
+        vals = {alpha: 0.5 for alpha in multi_indices(2, 2)}
+        vals[(1, 2)] = bad
+        vals[(2, 0)] = bad
+        with pytest.raises(ValidationError, match=r"non-finite value at \(1, 2\)"):
+            MomentVector(2, 2, vals)
+
+    def test_overflow_in_a_conversion_is_refused(self):
+        vals = {alpha: 1e200 for alpha in multi_indices(2, 3)}
+        with pytest.raises(ValidationError, match="non-finite value"):
+            cumulants_to_moments(CumulantVector(2, 3, vals))
+
+    def test_other_real_types_are_accepted(self):
+        m = MomentVector(1, 2, {(1,): Fraction(1, 2), (2,): 1})
+        assert moments_to_cumulants(m)[(2,)] == 0.75
+
+    def test_multi_indices_returns_a_fresh_list(self):
+        first = multi_indices(2, 2)
+        first.clear()
+        assert len(multi_indices(2, 2)) == 8
+        MomentVector(2, 2, {alpha: 0.0 for alpha in multi_indices(2, 2)})
+        with pytest.raises(IncompleteInput):
+            MomentVector(2, 2, {(0, 1): 0.0})
