@@ -7,6 +7,11 @@ CSV), check (run the randomized property suites).
 Exit codes: 0 success, 1 property violation, 2 input error, 3 solver
 non-convergence.  All output is deterministic given inputs and options;
 CSV files carry a header row and 9-significant-digit numbers.
+
+Each subcommand imports the modules it runs when it runs: `cost` loads
+costs and experiments, `solve` adds the solver, `reproduce` loads the
+reproductions (the solver only for `perception`), and `check` loads the
+property suites with the cumulant layer and the generator.
 """
 
 from __future__ import annotations
@@ -17,12 +22,7 @@ import sys
 
 import numpy as np
 
-from .checks import run_suite
-from .costs import beta_from_json, kl_matrix, llr_cost_via_posteriors
 from .errors import ValidationError
-from .experiments import experiment_from_json
-from .reproduce import reproduce_rows
-from .solver import SolveOptions, problem_from_json, solve_llr, solve_mutual_information
 
 
 def _fmt(x) -> str:
@@ -62,6 +62,9 @@ def _parse_prior(text: str) -> np.ndarray:
 
 
 def _cmd_cost(args) -> int:
+    from .costs import beta_from_json, kl_matrix, llr_cost_via_posteriors
+    from .experiments import experiment_from_json
+
     mu = experiment_from_json(_load_json(args.experiment))
     beta = beta_from_json(_load_json(args.beta), states=mu.states)
     kl = kl_matrix(mu)
@@ -93,6 +96,9 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .costs import beta_from_json
+    from .solver import SolveOptions, problem_from_json, solve_llr, solve_mutual_information
+
     problem = problem_from_json(_load_json(args.problem))
     opts = SolveOptions(tol=args.tol)
     if args.cost == "llr":
@@ -111,6 +117,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .reproduce import reproduce_rows
+
     header, rows = reproduce_rows(
         args.name,
         kappa=args.kappa,
@@ -124,6 +132,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_suite
+
     results = run_suite(args.suite, seed=args.seed, trials=args.trials)
     failed = [r for r in results if not r.passed]
     for r in results:

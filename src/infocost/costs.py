@@ -17,10 +17,12 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 from .errors import (
     AlphaOutOfRange,

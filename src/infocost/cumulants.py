@@ -23,7 +23,8 @@ Every term of alpha's recursion reads only indices of lower total degree,
 so the conversions run grade by grade from one cached plan per box: one
 array expression forms all terms of a grade, and each alpha's terms are
 summed strictly left to right (`np.add.accumulate`), the order and
-rounding of a plain scalar loop on every interpreter.
+rounding of a plain scalar loop on every interpreter.  Grade 1 has no
+terms besides beta = alpha, so its values need no grade of their own.
 """
 
 from __future__ import annotations
@@ -69,14 +70,13 @@ def multi_indices(n: int, order: int) -> list[MultiIndex]:
 
 class _Plan(NamedTuple):
     box: tuple[MultiIndex, ...]
-    keys: frozenset
     grades: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @lru_cache(maxsize=None)
 def _plan(n: int, order: int) -> _Plan:
     """The box {0..order}^n minus zero in lexicographic order, and the
-    recursion's terms grouped by total degree.
+    recursion's terms grouped by total degree, from grade 2 up.
 
     Per grade: the box positions `tgt` of its alphas, and (T, len(tgt))
     arrays B, R, C whose column i holds alpha i's terms (positions of beta
@@ -98,7 +98,7 @@ def _plan(n: int, order: int) -> _Plan:
     counts = np.bincount(a, minlength=grid.shape[0])
     col = np.empty(grid.shape[0], dtype=np.intp)
     grades = []
-    for g in range(1, n * order + 1):
+    for g in range(2, n * order + 1):
         rows = np.flatnonzero(grade == g)
         col[rows] = np.arange(rows.size)
         sel = grade[a] == g
@@ -111,7 +111,7 @@ def _plan(n: int, order: int) -> _Plan:
         R[at] = a[sel] - b[sel] - 1
         C[at] = c[sel]
         grades.append((rows - 1, B, R, C))
-    return _Plan(box, frozenset(box), tuple(grades))
+    return _Plan(box, tuple(grades))
 
 
 def _terms(n: int, order: int):
@@ -215,23 +215,19 @@ class MomentVector:
 
     def __post_init__(self):
         _check_box(self.dim, self.order)
-        plan = _plan(self.dim, self.order)
+        box = _plan(self.dim, self.order).box
         vals = dict(self.values)
-        arr = None
-        if vals.keys() >= plan.keys:
-            try:
-                arr = np.array([vals[a] for a in plan.box])
-            except ValueError:
-                pass
-        if (
-            arr is None
-            or arr.ndim != 1
-            or arr.dtype.kind not in "biuf"
-            or not np.isfinite(arr).all()
-        ):
+        # a finite sum means every value is a finite real; fsum reads each
+        # value as math.isfinite does, and never rounds a finite sum to inf
+        # without raising
+        try:
+            finite = math.isfinite(math.fsum(map(vals.__getitem__, box)))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
             # name the first bad index in lexicographic order; accept other
             # real types, such as Fraction, as math.isfinite does
-            for alpha in plan.box:
+            for alpha in box:
                 if alpha not in vals:
                     raise IncompleteInput(f"missing index {alpha}")
                 if not math.isfinite(vals[alpha]):
@@ -262,11 +258,12 @@ def moments(dist: FiniteDistribution, order: int) -> MomentVector:
         inner -= 1
     vals = np.empty(side**n)
     for i, prefix in enumerate(itertools.product(range(side), repeat=n - inner)):
-        table = np.ones((1, k))
-        for d, e in enumerate(prefix):
-            table = table * powers[d, e]
-        for d in range(n - inner, n):
-            table = (table[:, None, :] * powers[d]).reshape(-1, k)
+        factors = [powers[d, e : e + 1] for d, e in enumerate(prefix)]
+        factors.extend(powers[n - inner :])
+        # the product starts at its first factor: a leading 1.0 changes no bit
+        table = factors[0]
+        for f in factors[1:]:
+            table = (table[:, None, :] * f).reshape(-1, k)
         # np.dot(weights, row) per row: one ddot from +0.0, or for a single
         # atom a plain product, which keeps the sign of a zero
         if k == 1:
@@ -344,19 +341,24 @@ def _recurse(vec: MomentVector, to_cumulants: bool) -> dict:
     """The recursion over vec's box, grade by grade: solved for kappa(alpha)
     when vec holds moments, summed for m(alpha) when it holds cumulants."""
     plan = _plan(vec.dim, vec.order)
-    x = np.zeros(len(plan.box) + 1)
-    x[:-1] = [vec.values[a] for a in plan.box]
-    out = np.zeros_like(x)
+    # the values in box order, then the 0.0 that padded terms read
+    x = np.fromiter(
+        itertools.chain(map(vec.values.__getitem__, plan.box), (0.0,)),
+        float,
+        len(plan.box) + 1,
+    )
+    # kappa(alpha) = m(alpha) - sum, m(alpha) = kappa(alpha) + sum, and
+    # every term is C kappa(beta) m(alpha - beta)
+    sign = np.subtract if to_cumulants else np.add
+    # grade 1, whose sums are empty (+0.0); the higher grades overwrite
+    out = sign(x, 0.0)
+    kappa, m = (out, x) if to_cumulants else (x, out)
     # overflow gives inf or nan, as Python floats do, and the result's
     # MomentVector refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         for tgt, B, R, C in plan.grades:
-            if to_cumulants:
-                terms = C * out[B] * x[R]
-                out[tgt] = x[tgt] - np.add.accumulate(terms, axis=0)[-1]
-            else:
-                terms = C * x[B] * out[R]
-                out[tgt] = x[tgt] + np.add.accumulate(terms, axis=0)[-1]
+            terms = C * kappa[B] * m[R]
+            out[tgt] = sign(x[tgt], np.add.accumulate(terms, axis=0)[-1])
     return dict(zip(plan.box, out[:-1].tolist()))
 
 

@@ -29,7 +29,6 @@ from .costs import (
 )
 from .errors import UnknownReproduction, ValidationError
 from .experiments import StateSpace
-from .solver import psychometric_curve
 
 Rows = list[tuple]
 
@@ -79,6 +78,8 @@ def coinflip_rows(k_max: int = 20, kappa: float = 1.0, lam: float = 1.0) -> Rows
 
 def perception_rows(r: int = 10, kappa: float = 1.0, lam: float = 1.0) -> Rows:
     """(state, P(guess R) under LLR, P(guess R) under MI) per state."""
+    from .solver import psychometric_curve  # the only reproduction that solves
+
     llr = psychometric_curve(r, kappa, "llr", lam)
     mi = psychometric_curve(r, kappa, "mi", lam)
     return [

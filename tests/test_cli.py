@@ -326,7 +326,7 @@ class TestCheck:
         def fake_suite(suite, seed=0, trials=200, beta_hook=None):
             return [PropertyResult("rigged", trials, 1.0, 1e-10)]
 
-        monkeypatch.setattr(cli, "run_suite", fake_suite)
+        monkeypatch.setattr("infocost.checks.run_suite", fake_suite)
         rc = main(["check", "--trials", "5"])
         captured = capsys.readouterr()
         assert rc == 1
