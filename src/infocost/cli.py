@@ -11,26 +11,31 @@ CSV files carry a header row and 9-significant-digit numbers.
 Each subcommand imports the modules it runs when it runs: `cost` loads
 costs and experiments, `solve` adds the solver, `reproduce` loads the
 reproductions (the solver only for `perception`), and `check` loads the
-property suites with the cumulant layer and the generator.
+property suites with the cumulant layer and the generator.  `--help` and
+usage errors load neither numpy nor any of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _fmt(x) -> str:
+    # numpy registers its integer and floating scalars with these ABCs
     if isinstance(x, bool):
         return str(x)
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, numbers.Real):
         return f"{float(x):.9g}"
     return str(x)
 
@@ -55,6 +60,8 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_prior(text: str) -> np.ndarray:
+    import numpy as np
+
     try:
         return np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
@@ -62,6 +69,8 @@ def _parse_prior(text: str) -> np.ndarray:
 
 
 def _cmd_cost(args) -> int:
+    import numpy as np
+
     from .costs import beta_from_json, kl_matrix, llr_cost_via_posteriors
     from .experiments import experiment_from_json
 

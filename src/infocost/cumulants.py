@@ -183,6 +183,8 @@ def finite_distribution(points, weights) -> FiniteDistribution:
     w = _floats(weights, "weights").reshape(1, -1)
     if w.shape[1] != pts.shape[0]:
         raise DimensionMismatch(f"{pts.shape[0]} points against {w.shape[1]} weights")
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError("non-finite atom")  # the merge would subtract inf from inf
     merged_pts, merged_w = _merge_point_rows(pts, w, 1e-12)
     return FiniteDistribution(merged_pts, merged_w[0])
 

@@ -310,38 +310,51 @@ def _merge_point_rows(
     within tol of each other stay apart when the sort puts a row of another
     group between them.  Each group is represented, in sorted order, by the
     plain mean of its members.  `weights` has one column per point and any
-    number of rows.
+    number of rows.  Points must be finite.
+
+    The sort is stable, so equal rows keep their input order.  It runs
+    `np.lexsort` on one complex key per pair of coordinates, the last
+    coordinate alone when their number is odd: numpy orders complex numbers
+    by real part, then imaginary part, so each stable pass orders two
+    coordinates.
 
     Every anchor precedes its members in the sort, so its first coordinate
     is no larger than theirs: a first-coordinate gap above tol between
     neighbouring rows always starts a new group.  Those gaps cut the rows
     into segments, and a segment whose rows all lie within tol of its first
-    row is exactly one group.  Only the other segments need the sequential
-    anchor walk.
+    row is exactly one group.  One elementwise test, |row - its segment's
+    first row| > tol, finds the other segments; only they need the
+    sequential anchor walk.
     """
-    k = points.shape[0]
-    order = np.lexsort(points.T[::-1])
-    sorted_points = points[order]
+    k, d = points.shape
+    pairs = np.ascontiguousarray(points[:, : d - d % 2]).view(np.complex128)
+    # least significant key first, as np.lexsort takes them
+    keys = [points[:, -1]] if d % 2 else []
+    keys += [pairs[:, j] for j in range(d // 2 - 1, -1, -1)]
+    order = np.lexsort(keys)
+    sorted_points = points.take(order, axis=0)
+    first = sorted_points[:, 0]
     # True at each group start: first the segment starts, then the walk's
     starts = np.empty(k, dtype=bool)
     starts[0] = True
-    np.greater(np.diff(sorted_points[:, 0]), tol, out=starts[1:])
-    seg = np.flatnonzero(starts)
-    ends = np.append(seg[1:], k)
-    spread = np.abs(sorted_points - np.repeat(sorted_points[seg], ends - seg, axis=0))
-    one_group = np.maximum.reduceat(spread.max(axis=1), seg) <= tol
-    for lo, hi in zip(seg[~one_group].tolist(), ends[~one_group].tolist()):
-        # plain floats keep the walk off the numpy scalar path
-        rows = sorted_points[lo:hi].tolist()
-        anchor = rows[0]
-        for s in range(1, hi - lo):
-            if any(abs(a - x) > tol for a, x in zip(anchor, rows[s])):
-                starts[lo + s] = True
-                anchor = rows[s]
-    idx = np.flatnonzero(starts)
-    counts = np.diff(np.append(idx, k))
+    np.greater(first[1:] - first[:-1], tol, out=starts[1:])
+    idx = starts.nonzero()[0]
+    counts = np.concatenate((idx[1:], [k])) - idx
+    far = np.abs(sorted_points - np.repeat(sorted_points[idx], counts, axis=0)) > tol
+    if far.any():
+        walk = np.logical_or.reduceat(far.any(axis=1), idx)
+        for lo, n in zip(idx[walk].tolist(), counts[walk].tolist()):
+            # plain floats keep the walk off the numpy scalar path
+            rows = sorted_points[lo : lo + n].tolist()
+            anchor = rows[0]
+            for s in range(1, n):
+                if any(abs(a - x) > tol for a, x in zip(anchor, rows[s])):
+                    starts[lo + s] = True
+                    anchor = rows[s]
+        idx = starts.nonzero()[0]
+        counts = np.concatenate((idx[1:], [k])) - idx
     merged_points = np.add.reduceat(sorted_points, idx, axis=0) / counts[:, None]
-    merged_weights = np.add.reduceat(weights[:, order], idx, axis=1)
+    merged_weights = np.add.reduceat(weights.take(order, axis=1), idx, axis=1)
     return merged_points, merged_weights
 
 

@@ -163,6 +163,15 @@ class TestFiniteDistribution:
         with pytest.raises(ValidationError):
             build()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("col", [0, 1], ids=["first", "later"])
+    def test_non_finite_point_raises_before_the_merge(self, bad, col):
+        points = [[0.0, 1.0], [2.0, 3.0], [2.0, 4.0]]
+        points[1][col] = points[2][col] = bad
+        with pytest.raises(ValidationError, match="non-finite atom"):
+            finite_distribution(points, [0.25, 0.25, 0.5])
+
     def test_constructor_merges_nearby_points(self):
         d = finite_distribution([[1.0], [1.0 + 1e-15], [2.0]], [0.3, 0.3, 0.4])
         assert d.n_atoms == 2

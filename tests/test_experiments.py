@@ -504,6 +504,55 @@ class TestMergePointRows:
         # the corpus reaches both the vectorised path and the walk
         assert walked > 0 and clean > 0
 
+    def test_bitwise_equal_to_the_walk_on_chains_ties_and_signed_zeros(self):
+        """The sort at every dimension of 2-5 states: k-fold chains, exact
+        duplicates whose input order shows in the summed weights, and
+        signed zeros, which compare equal and so tie."""
+        rng = np.random.default_rng(1812)
+        cases = []
+        # the inputs of k-fold chains convolve_llr(acc, one), up to ~2,000 rows
+        for n in range(2, 6):
+            states = StateSpace(tuple(f"s{i}" for i in range(n)))
+            for m in (3, 5):
+                P = rng.uniform(0.02, 1.0, size=(n, m))
+                one = acc = llr_distribution(
+                    Experiment(states, tuple(range(m)), P / P.sum(axis=1, keepdims=True))
+                )
+                for _ in range(6):
+                    ka, kb = acc.n_atoms, one.n_atoms
+                    if ka * kb > 2000:
+                        break
+                    points = (acc.atoms[:, None, :] + one.atoms[None, :, :]).reshape(ka * kb, -1)
+                    weights = (acc.weights[:, :, None] * one.weights[:, None, :]).reshape(
+                        n, ka * kb
+                    )
+                    cases.append((points, weights))
+                    acc = convolve_llr(acc, one)
+        # rows drawn from a few values, zero among them, each repeated three
+        # to five times and shuffled; every zero gets a random sign
+        for dim in (1, 2, 3, 4):
+            base = rng.choice([-0.5, 0.0, 0.75], size=(8, dim))
+            points = np.repeat(base, rng.integers(3, 6, size=8), axis=0)
+            points = points[rng.permutation(points.shape[0])]
+            points[(points == 0.0) & (rng.random(points.shape) < 0.5)] = -0.0
+            cases.append((points, rng.uniform(0.1, 1.0, size=(dim + 1, points.shape[0]))))
+        dims = set()
+        order_shows = False
+        for points, weights in cases:
+            dims.add(points.shape[1])
+            got = _merge_point_rows(points, weights, LLR_MERGE_TOL)
+            want = _walk_merge(points, weights, LLR_MERGE_TOL)
+            assert _same_bits(got[0], want[0])
+            assert _same_bits(got[1], want[1])
+            # another input order of the same rows sums the weights otherwise
+            perm = np.random.default_rng(0).permutation(points.shape[0])
+            other = _walk_merge(points[perm], weights[:, perm], LLR_MERGE_TOL)
+            order_shows |= not _same_bits(other[1], want[1])
+        assert dims == {1, 2, 3, 4}
+        assert order_shows
+        # signed zeros reach the first and a later coordinate
+        assert np.signbit(cases[-1][0][:, 0]).any() and np.signbit(cases[-1][0][:, 1:]).any()
+
 
 def _abs_moment_profile(mu):
     """z -> E|p - z| evaluated at every posterior atom, uniform prior."""

@@ -101,6 +101,25 @@ class TestWhatLoads:
     def test_reproduce_gdp_skips_the_solver(self):
         assert _loaded("reproduce", "gdp")["modules"] == BASE + ["reproduce"]
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["cost", "--help"], 0), (["no_such_command"], 2)],
+    )
+    def test_help_and_usage_errors_load_no_numpy(self, argv, code):
+        out = _run(
+            "import contextlib, io\n"
+            "from infocost.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "mods = sorted(m for m in sys.modules if m.startswith('infocost.'))\n"
+            "print(code, 'numpy' in sys.modules, mods)"
+        )
+        assert out == f"{code} False ['infocost.cli', 'infocost.errors']"
+
     def test_check(self):
         assert _loaded("check", "--trials", "2")["modules"] == [
             "checks",
