@@ -62,12 +62,12 @@ class BetaMatrix:
     Either an explicit coefficient matrix (diagonal ignored) or a rule
     (name, kappa), "one_dimensional" or "inverse_square", on states with
     values.  A rule keeps no matrix: coef stays None, and dense() builds a
-    fresh read-only one on each call, for at most _DENSE_CAP states.  On
-    integer grids whose values span at most _DENSE_CAP**2 points, llr_cost,
-    normal_cost and posterior_separable_value apply the prices by FFT
-    (_rule_apply) whenever that takes fewer points than the matrix has
-    entries, at any size, so they and partition coefficients work on grids
-    far too large to materialize.  Rules come from the constructors below.
+    fresh read-only one on each call, for at most _DENSE_CAP states.  Every
+    price goes through apply(X) = B @ X: on integer grids whose values span
+    at most _DENSE_CAP**2 points it runs by FFT (_rule_apply) whenever that
+    takes no more points than the matrix has entries, at any size, so the
+    prices and partition coefficients work on grids far too large to
+    materialize.  Rules come from the constructors below.
     """
 
     states: StateSpace
@@ -130,6 +130,15 @@ class BetaMatrix:
         coef.flags.writeable = False
         return coef
 
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """B @ X for an (n, k) matrix X: by FFT for a rule on an integer grid
+        (_rule_grid) whose k columns take no more FFT points than B has
+        entries, else by dense(), which refuses a rule above _DENSE_CAP."""
+        vals = _rule_grid(self) if self.coef is None else None
+        if vals is not None and _fft_size(int(vals.max())) * X.shape[1] <= self.n**2:
+            return _rule_apply(self, vals, X)
+        return self.dense() @ X
+
 
 def _rule_scale(rule: tuple[str, float], n: int) -> float:
     """Constant c such that beta_ij = c / (v_i - v_j)^2."""
@@ -151,19 +160,6 @@ def _rule_grid(beta: BetaMatrix) -> np.ndarray | None:
     return None
 
 
-def _rule_offsets(beta: BetaMatrix, cols: int) -> np.ndarray | None:
-    """The offsets of _rule_grid when _rule_apply on `cols` columns takes no
-    more FFT points than the n x n matrix it replaces has entries, else None
-    (also for a matrix beta): dense() then prices beta, as on tiny or sparse
-    wide grids, and refuses a rule above _DENSE_CAP states."""
-    if beta.coef is not None:
-        return None
-    vals = _rule_grid(beta)
-    if vals is None or _fft_size(int(vals.max())) * cols > beta.n**2:
-        return None
-    return vals
-
-
 def _fft_size(span: int) -> int:
     """The least power of two >= 2 (span + 1): holds a correlation over
     [0, span] unwrapped."""
@@ -182,7 +178,7 @@ def _spread(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def _rule_apply(beta: BetaMatrix, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
     """B @ X for the (n, k) matrix X and a rule on the integer offsets vals
-    (_rule_offsets), without building B.
+    (_rule_grid), without building B.
 
     beta_ij = c / (v_i - v_j)^2 depends only on the value distance, so each
     column of B @ X is that column, spread over the value span, convolved
@@ -259,21 +255,24 @@ def kl_matrix(mu: Experiment) -> np.ndarray:
     return _kl_rows(mu.probs)
 
 
+def _llr_sum(beta: BetaMatrix, W: np.ndarray, X: np.ndarray) -> float:
+    """sum_ij B_ij sum_s W_is (L_is - L_js) = sum W o (L o (B 1) - B L) for the
+    (n, k) weights W and logs L held in columns 1: of the (n, k + 1) scratch
+    X, whose column 0 is overwritten.  Only L_is - L_js counts, so callers
+    pass log-ratios against state 0: near zero, they cut rounding."""
+    X[:, 0] = 1.0
+    BX = beta.apply(X)
+    return float(np.vdot(W, X[:, 1:] * BX[:, :1] - BX[:, 1:]))
+
+
 def llr_cost(mu: Experiment, beta: BetaMatrix) -> float:
     """Weighted sum of pairwise KL divergences between the state rows."""
     if mu.states != beta.states:
         raise StateSpaceMismatch("experiment and beta disagree on states")
     P = mu.probs
-    vals = _rule_offsets(beta, P.shape[1] + 1)
-    if vals is None:
-        return _rule_cost(P, beta.dense())
-    # sum_ij B_ij KL_ij = own . (B 1) - sum_s P[:, s] . (B L[:, s]); an
-    # experiment's entries are positive, so every divergence is finite
-    L = np.log(P)
-    L -= L.mean(axis=0)  # KL sees only L[i, s] - L[j, s]; centring cuts rounding
-    BX = _rule_apply(beta, vals, np.column_stack([np.ones(len(P)), L]))
-    own = np.sum(P * L, axis=1)
-    return float(own @ BX[:, 0] - np.sum(P * BX[:, 1:]))
+    X = np.empty((P.shape[0], P.shape[1] + 1))
+    np.log(P / P[0], out=X[:, 1:])  # an experiment's entries are positive
+    return _llr_sum(beta, P, X)
 
 
 def llr_cost_from_distribution(dist: LLRDistribution, beta: BetaMatrix) -> float:
@@ -284,10 +283,9 @@ def llr_cost_from_distribution(dist: LLRDistribution, beta: BetaMatrix) -> float
     """
     if dist.n_states != beta.n:
         raise DimensionMismatch("state counts differ")
-    xi = np.hstack([np.zeros((dist.n_atoms, 1)), dist.atoms])
-    M = dist.weights @ xi  # M[i, c] = E_i[xi_c]
-    D = np.diag(M)[:, None] - M
-    return float(np.sum(beta.dense() * D))
+    X = np.zeros((dist.n_states, dist.n_atoms + 1))
+    X[1:, 1:] = dist.atoms.T  # xi_0 = 0
+    return _llr_sum(beta, dist.weights, X)
 
 
 def binary_cost(p: float, beta: BetaMatrix) -> float:
@@ -312,21 +310,20 @@ def normal_cost(means: Sequence[float], sigma: float, beta: BetaMatrix) -> float
     """Cost of observing state-dependent mean m_i plus N(0, sigma^2) noise:
     sum of beta_ij (m_j - m_i)^2 / (2 sigma^2).
     """
-    m = np.asarray(means, dtype=float).ravel()
+    m = _floats(means, "means").ravel()
     if m.size != beta.n:
         raise DimensionMismatch(f"{m.size} means for {beta.n} states")
+    if not np.isfinite(m).all():
+        raise ValidationError("non-finite mean")
     sigma = float(sigma)
     if not (sigma > 0) or not math.isfinite(sigma):
         raise SigmaNonPositive(f"sigma = {sigma!r}")
-    vals = _rule_offsets(beta, 2)
-    if vals is not None:
-        # ((B 1) . m^2 - m . B m) / sigma^2, unchanged by a shift of m
-        m = m - m.mean()
-        BX = _rule_apply(beta, vals, np.column_stack([np.ones_like(m), m]))
-        return float((BX[:, 0] @ m**2 - m @ BX[:, 1]) / sigma**2)
-    B = beta.dense()  # before the n x n differences: it may refuse
-    diff = m[None, :] - m[:, None]
-    return float(np.sum(B * diff**2) / (2.0 * sigma**2))
+    # sum_ij B_ij (m_i - m_j)^2 = m^2 . (B 1) + sum B m^2 - 2 m . B m, for
+    # any beta, and unchanged by a shift of m
+    m -= m.mean()
+    BX = beta.apply(np.column_stack([np.ones_like(m), m, m * m]))
+    total = (m * m) @ BX[:, 0] + BX[:, 2].sum() - 2.0 * (m @ BX[:, 1])
+    return float(total / (2.0 * sigma**2))
 
 
 def _mutual_information(q: np.ndarray, P: np.ndarray) -> float:
@@ -359,17 +356,10 @@ def posterior_separable_value(beta: BetaMatrix, prior, p) -> float:
     """
     q = _full_support_row(prior, beta.n, "prior", error=PriorNotFullSupport)
     p = _full_support_row(p, beta.n, "posterior")
-    lp = np.log(p)
-    vals = _rule_offsets(beta, 2)
-    if vals is not None:
-        # sum_i (p_i / q_i) (ln p_i (B 1)_i - (B ln p)_i), unchanged by a
-        # shift of ln p
-        lp -= lp.mean()
-        BX = _rule_apply(beta, vals, np.column_stack([np.ones_like(lp), lp]))
-        return float((p / q) @ (lp * BX[:, 0] - BX[:, 1]))
-    B = beta.dense()  # before the n x n differences: it may refuse
-    M = lp[:, None] - lp[None, :]
-    return float(np.sum(B * (p / q)[:, None] * M))
+    # the LLR sum with one signal, weights p_i / q_i and logs ln p_i
+    X = np.empty((beta.n, 2))
+    np.log(p / p[0], out=X[:, 1])
+    return _llr_sum(beta, (p / q)[:, None], X)
 
 
 def llr_cost_via_posteriors(mu: Experiment, beta: BetaMatrix, prior) -> float:

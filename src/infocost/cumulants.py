@@ -185,6 +185,8 @@ def finite_distribution(points, weights) -> FiniteDistribution:
         raise DimensionMismatch(f"{pts.shape[0]} points against {w.shape[1]} weights")
     if not np.all(np.isfinite(pts)):
         raise ValidationError("non-finite atom")  # the merge would subtract inf from inf
+    if pts.size == 0:
+        raise ValidationError("empty distribution")  # the merge needs a row and a key
     merged_pts, merged_w = _merge_point_rows(pts, w, 1e-12)
     return FiniteDistribution(merged_pts, merged_w[0])
 

@@ -10,6 +10,7 @@ import json
 import math
 import time
 import tracemalloc
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -34,7 +35,9 @@ from infocost import (
     kl_divergence,
     kl_matrix,
     llr_cost,
+    llr_cost_from_distribution,
     llr_cost_via_posteriors,
+    llr_distribution,
     make_experiment,
     mutual_information_cost,
     normal_cost,
@@ -329,6 +332,27 @@ class TestPosteriorRoute:
             want, abs=1e-12
         )
 
+    def test_potential_matches_pairwise_loop(self):
+        # asymmetric prices, prior and posterior of full support; terms of
+        # both signs cancel, so the error scales with their absolute sum
+        rng = Xoshiro256(59)
+        for _ in range(20):
+            states = rand_states(rng, rng.randint(2, 6))
+            n = states.n
+            beta = rand_beta(rng, states)
+            q, p = rand_prior(rng, n), rand_prior(rng, n)
+            coef = beta.dense()
+            terms = [
+                coef[i, j] * (p[i] / q[i]) * math.log(p[i] / p[j])
+                for i in range(n)
+                for j in range(n)
+                if i != j
+            ]
+            scale = sum(map(abs, terms))
+            assert posterior_separable_value(beta, q, p) == pytest.approx(
+                sum(terms), rel=1e-12, abs=1e-14 * scale
+            )
+
     def test_potential_rejects_bad_rows_by_class(self):
         from infocost.errors import (
             NotFullSupport,
@@ -424,6 +448,11 @@ class TestNormalCost:
             normal_cost([0.0, 1.0], 0.0, beta)
         with pytest.raises(DimensionMismatch):
             normal_cost([0.0, 1.0, 2.0], 1.0, beta)
+        for means in ([math.nan, 0.0], [math.inf, 0.0]):
+            with pytest.raises(ValidationError, match="non-finite mean"):
+                normal_cost(means, 1.0, beta)
+        with pytest.raises(ValidationError, match="means"):
+            normal_cost(["x", 0.0], 1.0, beta)
 
 
 def _naive_partition_exact(states, members, c):
@@ -641,11 +670,14 @@ class TestPartition:
         states = StateSpace(tuple(f"v{v}" for v in vals), vals)
         beta = inverse_square_betas(states, 1.0)
         mu = partition_experiment(Hypothesis(states, frozenset(range(1000))), 0.9)
+        dist = llr_distribution(mu)
         uniform = np.full(2049, 1.0 / 2049)
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match="too large"):
                 llr_cost(mu, beta)
+            with pytest.raises(ValidationError, match="too large"):
+                llr_cost_from_distribution(dist, beta)
             with pytest.raises(ValidationError, match="too large"):
                 normal_cost(np.arange(2049.0), 1.0, beta)
             with pytest.raises(ValidationError, match="too large"):
@@ -667,7 +699,21 @@ class TestPartition:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
-        assert got == float(np.sum(beta.dense() * kl_matrix(mu)))
+        # against beta_ij KL_ij summed in 50 digits from the same floats
+        coef, probs = beta.dense(), mu.probs
+        with localcontext(Context(prec=50)):
+            want = sum(
+                Decimal(coef[i, j])
+                * sum(
+                    Decimal(probs[i, s])
+                    * (Decimal(probs[i, s]).ln() - Decimal(probs[j, s]).ln())
+                    for s in range(2)
+                )
+                for i in range(3)
+                for j in range(3)
+                if i != j
+            )
+        assert got == pytest.approx(float(want), rel=1e-15)
 
     @pytest.mark.parametrize("rule", ["one_dimensional", "inverse_square"])
     @pytest.mark.parametrize("question", ["threshold", "parity"])
@@ -682,10 +728,14 @@ class TestPartition:
         mask = vals >= 50000 if question == "threshold" else vals % 2 == 0
         h = Hypothesis(states, frozenset(np.flatnonzero(mask).tolist()))
         for alpha in (0.6, 0.9, 0.999):
+            mu = partition_experiment(h, alpha)
             t0 = time.perf_counter()
-            got = llr_cost(partition_experiment(h, alpha), beta)
+            got = llr_cost(mu, beta)
             assert time.perf_counter() - t0 < 1.0
             want = hypothesis_test_cost(beta, h, alpha)
+            assert got == pytest.approx(want, rel=1e-9)
+            # the merged LLR route applies the same operator
+            got = llr_cost_from_distribution(llr_distribution(mu), beta)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_other_rule_prices_run_above_the_dense_cap(self):

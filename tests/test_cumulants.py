@@ -156,8 +156,20 @@ class TestFiniteDistribution:
             lambda: finite_distribution_from_llr(
                 llr_distribution(binary_experiment(0.8)), 0.5
             ),
+            # no coordinates, and no points: unchecked, the merge's sort
+            # and anchor raise TypeError and IndexError
+            lambda: finite_distribution([[]], [1.0]),
+            lambda: finite_distribution(np.zeros((0, 2)), []),
         ],
-        ids=["ragged", "not-numeric", "merged-ragged", "merged-not-numeric", "llr"],
+        ids=[
+            "ragged",
+            "not-numeric",
+            "merged-ragged",
+            "merged-not-numeric",
+            "llr",
+            "merged-no-coordinates",
+            "merged-no-points",
+        ],
     )
     def test_out_of_model_input_raises_validation_error(self, build):
         with pytest.raises(ValidationError):

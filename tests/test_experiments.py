@@ -403,9 +403,16 @@ class TestLLRDistribution:
             states = rand_states(rng, rng.randint(2, 5))
             mu = rand_experiment(rng, states, rng.randint(2, 6))
             beta = rand_beta(rng, states)
-            assert llr_cost_from_distribution(
-                llr_distribution(mu), beta
-            ) == pytest.approx(llr_cost(mu, beta), rel=1e-12)
+            coef, rows = beta.dense(), mu.probs
+            loop = sum(
+                coef[i, j] * kl_divergence(rows[i], rows[j])
+                for i in range(states.n)
+                for j in range(states.n)
+                if i != j
+            )
+            got = llr_cost_from_distribution(llr_distribution(mu), beta)
+            for want in (llr_cost(mu, beta), loop):
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 def _walk_merge(points, weights, tol):
