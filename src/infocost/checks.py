@@ -17,6 +17,7 @@ itself gets tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -44,6 +45,7 @@ from .experiments import (
     Experiment,
     GarblingMatrix,
     StateSpace,
+    _integer,
     blackwell_dominates,
     dilute,
     garble,
@@ -276,9 +278,8 @@ def run_suite(
         props = _AXIOMS + _APPENDIX
     else:
         raise ValidationError(f"suite {suite!r} not one of axioms, appendix, all")
-    if trials < 1:
-        raise ValidationError(f"trials = {trials!r}")
-    rng = Xoshiro256(seed)
+    trials = _integer(trials, "trials", 1)
+    rng = Xoshiro256(_integer(seed, "seed", -math.inf, math.inf))
     results = []
     for name, bound, cap, trial in props:
         n = trials if cap is None else min(trials, cap)

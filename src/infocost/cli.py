@@ -21,12 +21,8 @@ import argparse
 import json
 import numbers
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _fmt(x) -> str:
@@ -59,20 +55,11 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _parse_prior(text: str) -> np.ndarray:
-    import numpy as np
-
-    try:
-        return np.array([float(x) for x in text.split(",")])
-    except ValueError as exc:
-        raise ValidationError(f"bad prior {text!r}: {exc}") from None
-
-
 def _cmd_cost(args) -> int:
     import numpy as np
 
     from .costs import beta_from_json, kl_matrix, llr_cost_via_posteriors
-    from .experiments import experiment_from_json
+    from .experiments import _floats, experiment_from_json
 
     mu = experiment_from_json(_load_json(args.experiment))
     beta = beta_from_json(_load_json(args.beta), states=mu.states)
@@ -81,7 +68,7 @@ def _cmd_cost(args) -> int:
     cost = float(np.sum(coef * kl))  # llr_cost(mu, beta), reusing kl
     report = {"cost": cost}
     if args.prior is not None:
-        prior = _parse_prior(args.prior)
+        prior = _floats(args.prior.split(","), f"bad prior {args.prior!r}")
         via = llr_cost_via_posteriors(mu, beta, prior)
         report["cost_via_posteriors"] = via
         report["delta"] = abs(cost - via)

@@ -13,7 +13,6 @@ rational-inattention baseline.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -41,10 +40,12 @@ from .experiments import (
     Experiment,
     LLRDistribution,
     StateSpace,
+    _finite,
     _floats,
     _full_support_row,
     _json_labels,
-    posterior_distribution,
+    _posteriors,
+    _real,
 )
 
 # largest rule-backed matrix dense() builds; its square caps the value span
@@ -84,24 +85,17 @@ class BetaMatrix:
                 raise ValidationError(f"unknown rule {name!r}")
             if self.states.values is None:
                 raise MissingValues("rule needs a StateSpace with values")
-            if not (isinstance(kappa, numbers.Real) and 0 < kappa < math.inf):
-                raise ValidationError(f"kappa = {kappa!r} must be positive")
-            object.__setattr__(self, "rule", (name, float(kappa)))
+            object.__setattr__(self, "rule", (name, _real(kappa, "kappa")))
         if coef is None:
             if self.rule is None:
                 raise IncompleteInput("need a coefficient matrix or a rule")
             return
-        coef = _floats(coef, "beta coef")
-        if coef.shape != (self.states.n, self.states.n):
-            raise DimensionMismatch(
-                f"coef shape {coef.shape} for {self.states.n} states"
-            )
-        off = ~np.eye(self.states.n, dtype=bool)
-        if not np.all(np.isfinite(coef[off])):
-            raise ValidationError("non-finite off-diagonal coefficient")
-        if np.any(coef[off] < 0):
-            raise ValidationError("negative off-diagonal coefficient")
+        coef = _floats(coef, "beta coef", (self.states.n, self.states.n))
         np.fill_diagonal(coef, 0.0)
+        if not np.isfinite(coef).all():
+            raise ValidationError("non-finite off-diagonal coefficient")
+        if (coef < 0).any():
+            raise ValidationError("negative off-diagonal coefficient")
         coef.flags.writeable = False
         object.__setattr__(self, "coef", coef)
 
@@ -217,7 +211,7 @@ def inverse_square_betas(states: StateSpace, kappa: float) -> BetaMatrix:
 
 
 def constant_betas(states: StateSpace, value: float) -> BetaMatrix:
-    coef = np.full((states.n, states.n), float(value))
+    coef = np.full((states.n, states.n), _real(value, "value", -math.inf))
     return BetaMatrix(states, coef)
 
 
@@ -294,9 +288,7 @@ def binary_cost(p: float, beta: BetaMatrix) -> float:
     """
     if beta.n != 2:
         raise DimensionMismatch("binary_cost needs a 2-state beta")
-    p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise POutOfRange(f"p = {p!r} outside (0, 1)")
+    p = _real(p, "p", 0.0, 1.0, POutOfRange)
     coef = beta.dense()
     return (coef[0, 1] + coef[1, 0]) * _flip_divergence(p)
 
@@ -310,14 +302,8 @@ def normal_cost(means: Sequence[float], sigma: float, beta: BetaMatrix) -> float
     """Cost of observing state-dependent mean m_i plus N(0, sigma^2) noise:
     sum of beta_ij (m_j - m_i)^2 / (2 sigma^2).
     """
-    m = _floats(means, "means").ravel()
-    if m.size != beta.n:
-        raise DimensionMismatch(f"{m.size} means for {beta.n} states")
-    if not np.isfinite(m).all():
-        raise ValidationError("non-finite mean")
-    sigma = float(sigma)
-    if not (sigma > 0) or not math.isfinite(sigma):
-        raise SigmaNonPositive(f"sigma = {sigma!r}")
+    m = _finite(means, "means", (beta.n,))
+    sigma = _real(sigma, "sigma", error=SigmaNonPositive)
     # sum_ij B_ij (m_i - m_j)^2 = m^2 . (B 1) + sum B m^2 - 2 m . B m, for
     # any beta, and unchanged by a shift of m
     m -= m.mean()
@@ -342,8 +328,7 @@ def _mutual_information(q: np.ndarray, P: np.ndarray) -> float:
 
 def mutual_information_cost(mu: Experiment, prior, lam: float = 1.0) -> float:
     """lam times the expected entropy drop from prior to posterior."""
-    if not (lam > 0) or not math.isfinite(lam):
-        raise ValidationError(f"lambda = {lam!r} must be positive")
+    lam = _real(lam, "lambda")
     prior = _full_support_row(prior, mu.n_states, "prior", PriorNotFullSupport)
     return lam * _mutual_information(prior, mu.probs)
 
@@ -356,21 +341,28 @@ def posterior_separable_value(beta: BetaMatrix, prior, p) -> float:
     """
     q = _full_support_row(prior, beta.n, "prior", error=PriorNotFullSupport)
     p = _full_support_row(p, beta.n, "posterior")
-    # the LLR sum with one signal, weights p_i / q_i and logs ln p_i
+    return _potential(beta, q, p)
+
+
+def _potential(beta: BetaMatrix, q: np.ndarray, p: np.ndarray) -> float:
+    """F(p) for a checked prior q and a positive posterior p: the LLR sum
+    with one signal, weights p_i / q_i and logs ln p_i."""
     X = np.empty((beta.n, 2))
     np.log(p / p[0], out=X[:, 1])
     return _llr_sum(beta, (p / q)[:, None], X)
 
 
 def llr_cost_via_posteriors(mu: Experiment, beta: BetaMatrix, prior) -> float:
-    """E[F(posterior)] - F(prior); agrees with llr_cost at any full-support prior."""
+    """E[F(posterior)] - F(prior); agrees with llr_cost at any full-support prior.
+
+    Only the prior is checked: a posterior of a valid prior and experiment
+    is positive, though its entries may fall below ENTRY_FLOOR.
+    """
     if mu.states != beta.states:
         raise StateSpaceMismatch("experiment and beta disagree on states")
-    pairs = posterior_distribution(mu, prior)
-    total = sum(
-        m * posterior_separable_value(beta, prior, post) for post, m in pairs
-    )
-    return total - posterior_separable_value(beta, prior, prior)
+    q = _full_support_row(prior, beta.n, "prior", PriorNotFullSupport)
+    total = sum(m * _potential(beta, q, post) for post, m in _posteriors(mu, q))
+    return total - _potential(beta, q, q)
 
 
 @dataclass(frozen=True)
@@ -465,17 +457,13 @@ def _partition_by_distance(vals: np.ndarray, member: np.ndarray, c: float) -> fl
 
 def hypothesis_test_cost(beta: BetaMatrix, h: Hypothesis, alpha: float) -> float:
     """Cost of the two-signal test that reports membership with accuracy alpha."""
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
-        raise AlphaOutOfRange(f"alpha = {alpha!r} outside (0, 1)")
+    alpha = _real(alpha, "alpha", 0.0, 1.0, AlphaOutOfRange)
     return partition_coefficient(beta, h) * _flip_divergence(alpha)
 
 
 def partition_experiment(h: Hypothesis, alpha: float) -> Experiment:
     """The explicit two-signal experiment behind hypothesis_test_cost."""
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha = {alpha!r} outside (0, 1)")
+    alpha = _real(alpha, "alpha", 0.0, 1.0, AlphaOutOfRange)
     member = _member_mask(h)[:, None]
     probs = np.where(member, (alpha, 1 - alpha), (1 - alpha, alpha))
     return Experiment(h.states, ("in", "out"), probs)
@@ -494,11 +482,8 @@ def verification_asymmetry(epsilon: float, kappa: float = 1.0) -> tuple[float, f
     cost_I is of order kappa*eps while cost_II carries an extra ln(1/eps).
     Evaluated through log1p so tiny eps stays accurate.
     """
-    eps = float(epsilon)
-    if not (0.0 < eps < 0.5) or not math.isfinite(eps):
-        raise EpsilonOutOfRange(f"epsilon = {eps!r} outside (0, 0.5)")
-    if not (kappa > 0) or not math.isfinite(kappa):
-        raise ValidationError(f"kappa = {kappa!r} must be positive")
+    eps = _real(epsilon, "epsilon", 0.0, 0.5, EpsilonOutOfRange)
+    kappa = _real(kappa, "kappa")
     e2 = eps * eps
     gap = math.log1p(-e2) - math.log1p(-eps)  # ln((1-eps^2)/(1-eps)) > 0
     cost_i = kappa * ((1.0 - e2) * gap + e2 * math.log(eps))
@@ -547,7 +532,7 @@ def _rule_number(obj: dict, key: str) -> float:
     """The number under `key` of a rule-form beta object."""
     if key not in obj:
         raise IncompleteInput(f"rule {obj['rule']!r} needs {key}")
-    try:
-        return float(obj[key])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{key} = {obj[key]!r} is not a number") from None
+    value = obj[key]
+    if isinstance(value, str):  # rule files may spell numbers as strings
+        value = float(_floats(value, key))
+    return _real(value, key, -math.inf)

@@ -43,7 +43,8 @@ from .errors import (
     IncompleteInput,
     ValidationError,
 )
-from .experiments import LLRDistribution, _check_prob_matrix, _floats, _merge_point_rows
+from .experiments import LLRDistribution, _cast, _check_prob_matrix, _finite, _floats, _freeze
+from .experiments import _integer, _merge_point_rows
 
 MultiIndex = tuple[int, ...]
 
@@ -55,17 +56,17 @@ ENUM_CAP = 2_000_000
 TABLE_BLOCK = 1 << 20
 
 
-def _check_box(n: int, order: int):
-    if not 1 <= n <= MAX_DIM:
-        raise DimensionTooLarge(f"dimension {n} outside 1..{MAX_DIM}")
-    if not 1 <= order <= MAX_ORDER:
-        raise DimensionTooLarge(f"order {order} outside 1..{MAX_ORDER}")
+def _check_box(n: int, order: int) -> tuple[int, int]:
+    """(n, order) as ints, each in 1..its cap, else DimensionTooLarge."""
+    return (
+        _integer(n, "dimension", 1, MAX_DIM, DimensionTooLarge),
+        _integer(order, "order", 1, MAX_ORDER, DimensionTooLarge),
+    )
 
 
 def multi_indices(n: int, order: int) -> list[MultiIndex]:
     """All alpha in {0..order}^n except the zero index, lexicographically."""
-    _check_box(n, order)
-    return list(_plan(n, order).box)
+    return list(_plan(*_check_box(n, order)).box)
 
 
 class _Plan(NamedTuple):
@@ -150,20 +151,13 @@ class FiniteDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_2d(_floats(self.atoms, "atoms"))
-        weights = _floats(self.weights, "weights").ravel()
-        if atoms.shape[0] != weights.size:
-            raise DimensionMismatch(
-                f"{atoms.shape[0]} atoms against {weights.size} weights"
-            )
+        atoms = _freeze(_finite(self.atoms, "atoms"))
+        weights = _floats(self.weights, "weights", (atoms.shape[0],))
         if atoms.size == 0:
             raise ValidationError("empty distribution")
-        if not np.all(np.isfinite(atoms)):
-            raise ValidationError("non-finite atom")
         _check_prob_matrix(weights, "weights", positive=False)
         if len({tuple(row) for row in atoms}) != atoms.shape[0]:
             raise ValidationError("duplicate atoms")
-        atoms.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
@@ -179,12 +173,11 @@ class FiniteDistribution:
 
 def finite_distribution(points, weights) -> FiniteDistribution:
     """Construct with nearby points (within 1e-12) merged first."""
-    pts = np.atleast_2d(_floats(points, "points"))
+    # finite: the merge would subtract inf from inf
+    pts = np.atleast_2d(_finite(points, "atoms"))
     w = _floats(weights, "weights").reshape(1, -1)
     if w.shape[1] != pts.shape[0]:
         raise DimensionMismatch(f"{pts.shape[0]} points against {w.shape[1]} weights")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("non-finite atom")  # the merge would subtract inf from inf
     if pts.size == 0:
         raise ValidationError("empty distribution")  # the merge needs a row and a key
     merged_pts, merged_w = _merge_point_rows(pts, w, 1e-12)
@@ -195,8 +188,7 @@ def finite_distribution_from_llr(
     dist: LLRDistribution, state: int
 ) -> FiniteDistribution:
     """State `state`'s distribution over the log-likelihood-ratio vector."""
-    if not isinstance(state, (int, np.integer)) or not 0 <= state < dist.n_states:
-        raise ValidationError(f"state index {state!r} is not an integer in range")
+    state = _integer(state, "state", 0, dist.n_states - 1)
     return FiniteDistribution(dist.atoms, dist.weights[state])
 
 
@@ -218,9 +210,14 @@ class MomentVector:
     values: Mapping[MultiIndex, float]
 
     def __post_init__(self):
-        _check_box(self.dim, self.order)
-        box = _plan(self.dim, self.order).box
-        vals = dict(self.values)
+        dim, order = _check_box(self.dim, self.order)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "order", order)
+        box = _plan(dim, order).box
+        try:
+            vals = dict(self.values)
+        except (TypeError, ValueError):
+            raise ValidationError("values must map multi-indices to numbers") from None
         # a finite sum means every value is a finite real; fsum reads each
         # value as math.isfinite does, and never rounds a finite sum to inf
         # without raising
@@ -230,11 +227,11 @@ class MomentVector:
             finite = False
         if not finite:
             # name the first bad index in lexicographic order; accept other
-            # real types, such as Fraction, as math.isfinite does
+            # real types, such as Fraction, as _cast does
             for alpha in box:
                 if alpha not in vals:
                     raise IncompleteInput(f"missing index {alpha}")
-                if not math.isfinite(vals[alpha]):
+                if not math.isfinite(_cast(vals[alpha], float)):
                     raise ValidationError(f"non-finite value at {alpha}")
         object.__setattr__(self, "values", vals)
 
@@ -247,8 +244,8 @@ CumulantVector = MomentVector
 
 def moments(dist: FiniteDistribution, order: int) -> MomentVector:
     """m(alpha) = sum of weight * atom^alpha over the support."""
-    _check_box(dist.dim, order)
-    n, k, side = dist.dim, dist.n_atoms, order + 1
+    n, order = _check_box(dist.dim, order)
+    k, side = dist.n_atoms, order + 1
     # powers[d, e] = atoms[:, d]**e by repeated multiplication, as np.vander
     powers = np.ones((n, side, k))
     powers[:, 1:] = dist.atoms.T[:, None, :]
@@ -303,11 +300,12 @@ def lambda_count(alpha) -> int:
 
 
 def _check_alpha(alpha) -> MultiIndex:
-    alpha = tuple(int(a) for a in alpha)
+    try:
+        alpha = tuple(_integer(a, "component", 0) for a in alpha)
+    except TypeError:
+        raise ValidationError(f"multi-index {alpha!r} is not a sequence") from None
     if not 1 <= len(alpha) <= MAX_DIM:
         raise DimensionTooLarge(f"dimension {len(alpha)} outside 1..{MAX_DIM}")
-    if any(a < 0 for a in alpha):
-        raise ValidationError(f"negative component in {alpha}")
     if not any(alpha):
         raise ValidationError("zero multi-index")
     if max(alpha) > MAX_ORDER:

@@ -2,7 +2,9 @@
 
 ValidationError covers everything wrong with user-supplied data (the CLI maps
 it to exit code 2); SolverFailure covers internal numerical machinery that did
-not terminate.
+not terminate.  Scalar parameters are real numbers, never bools or strings;
+integer parameters are never truncated; every out-of-model value raises a
+ValidationError subclass.
 """
 
 

@@ -16,6 +16,7 @@ divergence values downstream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,29 +45,73 @@ LLR_MERGE_TOL = 1e-12
 DOMINANCE_TOL = 1e-8
 
 
-def _floats(obj, what: str) -> np.ndarray:
-    """A float array copy of obj; ValidationError if ragged or not numeric."""
+def _floats(obj, what: str, shape: tuple | None = None) -> np.ndarray:
+    """A float array copy of obj; ValidationError if ragged, not numeric or
+    an integer too large for a float, DimensionMismatch if not of `shape`."""
     try:
-        return np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        out = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what}: {exc}") from None
-
-
-def _freeze(obj, what: str) -> np.ndarray:
-    """`_floats(obj, what)`, at least 2-d and read-only."""
-    out = np.atleast_2d(_floats(obj, what))
-    out.flags.writeable = False
+    if shape is not None and out.shape != shape:
+        raise DimensionMismatch(f"{what}: shape {out.shape}, expected {shape}")
     return out
 
 
-def _check_labels(labels: tuple, what: str) -> None:
-    """Reject labels that are unhashable or repeated."""
+def _finite(obj, what: str, shape: tuple | None = None) -> np.ndarray:
+    """`_floats(obj, what, shape)`; ValidationError unless every entry is finite."""
+    out = _floats(obj, what, shape)
+    if not np.isfinite(out).all():
+        raise ValidationError(f"non-finite {what}")
+    return out
+
+
+def _cast(x, to):
+    """to(x) for a real x other than a bool, else NaN; NaN also where `to`
+    fails: an int too large for a float, or inf or NaN for int."""
     try:
+        return to(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _real(x, what: str, lo=0.0, hi=math.inf, error=ValidationError, closed=False) -> float:
+    """x as a float in (lo, hi), or in (lo, hi] when `closed`, else `error`:
+    Python and numpy reals and Fraction count; bools, strings, None and
+    arrays do not."""
+    v = _cast(x, float)
+    if lo < v < hi or (closed and v == hi):
+        return v
+    raise error(f"{what} = {x!r} is not a real number in ({lo:g}, {hi:g}{']' if closed else ')'}")
+
+
+def _integer(x, what: str, lo, hi=2**63 - 1, error=ValidationError) -> int:
+    """x as an int in lo..hi, else `error`: an integral real such as 3 or
+    3.0 counts; a bool does not, and 2.5 is refused, never truncated.  By
+    default hi is the largest int64: no count or index goes beyond it."""
+    v = _cast(x, int)
+    if v == x and lo <= v <= hi:
+        return v
+    raise error(f"{what} = {x!r} is not an integer in {lo}..{hi}")
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """a, at least 2-d and read-only."""
+    a = np.atleast_2d(a)
+    a.flags.writeable = False
+    return a
+
+
+def _labels(obj, what: str) -> tuple:
+    """obj as a tuple of labels; ValidationError unless it is a sequence of
+    distinct hashable labels."""
+    try:
+        labels = tuple(obj)
         repeated = len(set(labels)) != len(labels)
     except TypeError:
-        raise ValidationError(f"{what} labels must be hashable") from None
+        raise ValidationError(f"{what} labels must be a sequence of hashables") from None
     if repeated:
         raise ValidationError(f"{what} labels must be unique")
+    return labels
 
 
 def _check_prob_matrix(
@@ -99,9 +144,7 @@ def _check_prob_matrix(
 def _full_support_row(p, n: int, what: str, error=NotFullSupport) -> np.ndarray:
     """A copy of `p` as a float vector, checked to have length n, full
     support above ENTRY_FLOOR (else `error`) and sum 1."""
-    p = _floats(p, what).ravel()
-    if p.size != n:
-        raise DimensionMismatch(f"{what}: length {p.size}, expected {n}")
+    p = _floats(p, what, (n,))
     _check_prob_matrix(p, what, error)
     return p
 
@@ -118,18 +161,11 @@ class StateSpace:
     values: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", _labels(self.labels, "state"))
         if len(self.labels) < 2:
             raise ValidationError("need at least 2 states")
-        _check_labels(self.labels, "state")
         if self.values is not None:
-            vals = _floats(self.values, "state values")
-            if vals.shape != (len(self.labels),):
-                raise DimensionMismatch(
-                    f"{vals.size} values for {len(self.labels)} states"
-                )
-            if not np.all(np.isfinite(vals)):
-                raise ValidationError("state values must be finite")
+            vals = _finite(self.values, "state values", (len(self.labels),))
             object.__setattr__(self, "values", tuple(vals.tolist()))
             if len(set(self.values)) != len(self.values):
                 raise DuplicateValues("state values must be distinct")
@@ -151,15 +187,10 @@ class Experiment:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        object.__setattr__(self, "signals", tuple(self.signals))
-        _check_labels(self.signals, "signal")
-        probs = _freeze(self.probs, "experiment probs")
+        object.__setattr__(self, "signals", _labels(self.signals, "signal"))
+        shape = (self.states.n, len(self.signals))
+        probs = _freeze(_floats(self.probs, "experiment probs", shape))
         object.__setattr__(self, "probs", probs)
-        if probs.shape != (self.states.n, len(self.signals)):
-            raise DimensionMismatch(
-                f"probs shape {probs.shape}, expected "
-                f"({self.states.n}, {len(self.signals)})"
-            )
         _check_prob_matrix(probs, "experiment")
 
     @property
@@ -176,7 +207,7 @@ class Experiment:
 
 def make_experiment(states: StateSpace, signals: Sequence, probs) -> Experiment:
     """Validating constructor; rejects zeros and unnormalized rows."""
-    return Experiment(states, tuple(signals), probs)
+    return Experiment(states, signals, probs)
 
 
 def make_normalized_experiment(states: StateSpace, signals: Sequence, probs) -> Experiment:
@@ -189,7 +220,7 @@ def make_normalized_experiment(states: StateSpace, signals: Sequence, probs) -> 
     sums = p.sum(axis=1, keepdims=True)
     if np.any(sums <= 0) or not np.all(np.isfinite(sums)):
         raise ValidationError("rows must have positive finite mass")
-    return Experiment(states, tuple(signals), p / sums)
+    return Experiment(states, signals, p / sums)
 
 
 def binary_experiment(p: float, states: StateSpace | None = None) -> Experiment:
@@ -198,15 +229,15 @@ def binary_experiment(p: float, states: StateSpace | None = None) -> Experiment:
         states = StateSpace(("H", "L"))
     if states.n != 2:
         raise DimensionMismatch("binary_experiment needs exactly 2 states")
+    p = _real(p, "p", -math.inf)
     return Experiment(states, ("h", "t"), np.array([[p, 1 - p], [1 - p, p]]))
 
 
 def uninformative_experiment(states: StateSpace, weights: Sequence[float] = (1.0,)) -> Experiment:
     """Experiment whose rows are all equal; carries no information."""
-    w = np.asarray(weights, dtype=float)
-    w = w / w.sum()
-    signals = tuple(f"u{k}" for k in range(len(w)))
-    return Experiment(states, signals, np.tile(w, (states.n, 1)))
+    w = _floats(weights, "weights").ravel()
+    signals = tuple(f"u{k}" for k in range(w.size))
+    return make_normalized_experiment(states, signals, np.tile(w, (states.n, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +247,7 @@ class GarblingMatrix:
     probs: NDArray[np.float64]
 
     def __post_init__(self):
-        probs = _freeze(self.probs, "garbling")
+        probs = _freeze(_floats(self.probs, "garbling"))
         object.__setattr__(self, "probs", probs)
         _check_prob_matrix(probs, "garbling", positive=False)
 
@@ -244,9 +275,7 @@ def dilute(mu: Experiment, alpha: float) -> Experiment:
     alpha = 1 returns a copy without the extra symbol.  alpha = 0 is
     rejected; a pure null experiment is a single-column make_experiment call.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha <= 1.0) or not math.isfinite(alpha):
-        raise AlphaOutOfRange(f"alpha = {alpha!r} outside (0, 1]")
+    alpha = _real(alpha, "alpha", 0.0, 1.0, AlphaOutOfRange, closed=True)
     if alpha == 1.0:
         return Experiment(mu.states, mu.signals, mu.probs)
     # deterministic fresh name: "o", then "o1", "o2", ... on collision
@@ -277,10 +306,8 @@ def kl_divergence(p, q) -> float:
     Strictly positive rows only; zero entries are outside this model class.
     Non-negative, and zero exactly when p equals q.
     """
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
-    if p.shape != q.shape:
-        raise DimensionMismatch(f"length {p.size} vs {q.size}")
+    p = _floats(p, "kl first argument").ravel()
+    q = _floats(q, "kl second argument", p.shape)
     _check_prob_matrix(p, "kl first argument")
     _check_prob_matrix(q, "kl second argument")
     return float(np.dot(p, np.log(p / q)))
@@ -289,7 +316,12 @@ def kl_divergence(p, q) -> float:
 def posterior_distribution(mu: Experiment, prior) -> list[tuple[np.ndarray, float]]:
     """Bayesian posteriors and signal marginals, one pair per signal."""
     prior = _full_support_row(prior, mu.n_states, "prior", PriorNotFullSupport)
-    joint = prior[:, None] * mu.probs
+    return _posteriors(mu, prior)
+
+
+def _posteriors(mu: Experiment, q: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """`posterior_distribution` at a prior q already checked."""
+    joint = q[:, None] * mu.probs
     marginals = joint.sum(axis=0)
     posteriors = joint / marginals
     return [
@@ -371,8 +403,8 @@ class LLRDistribution:
     weights: NDArray[np.float64]
 
     def __post_init__(self):
-        atoms = _freeze(self.atoms, "atoms")
-        weights = _freeze(self.weights, "atom weights")
+        atoms = _freeze(_finite(self.atoms, "atoms"))
+        weights = _freeze(_floats(self.weights, "atom weights"))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         if atoms.shape[0] != weights.shape[1]:
@@ -384,8 +416,6 @@ class LLRDistribution:
             raise DimensionMismatch(
                 "need one weight row per state (atom dimension + 1)"
             )
-        if not np.all(np.isfinite(atoms)):
-            raise ValidationError("non-finite atom")
         _check_prob_matrix(weights, "atom weights", positive=False)
 
     @property
@@ -419,6 +449,7 @@ def check_admissible(sigma: LLRDistribution, tol: float = 1e-8) -> bool:
 
     Exactly the distributions arising from some experiment pass this.
     """
+    tol = _real(tol, "tol")
     expected = np.exp(sigma.atoms.T) * sigma.weights[0]
     return bool(np.all(np.abs(sigma.weights[1:] - expected) <= tol))
 
@@ -489,6 +520,7 @@ def blackwell_dominates(
     """
     if mu.states != nu.states:
         raise StateSpaceMismatch("dominance needs a common state space")
+    tol = _real(tol, "tol")
     k, m = mu.n_signals, nu.n_signals
     mass = mu.probs.sum(axis=0)
     fit = np.einsum("ic,tu->itcu", mu.probs / mass, np.eye(m)).reshape(-1, k * m)

@@ -27,8 +27,8 @@ from .costs import (
     partition_coefficient,
     verification_asymmetry,
 )
-from .errors import UnknownReproduction, ValidationError
-from .experiments import StateSpace
+from .errors import EpsilonOutOfRange, UnknownReproduction
+from .experiments import StateSpace, _integer, _real
 
 Rows = list[tuple]
 
@@ -60,11 +60,8 @@ def coinflip_rows(k_max: int = 20, kappa: float = 1.0, lam: float = 1.0) -> Rows
     LLR cost needs no ratio of likelihoods.  Prices are kappa/2 per
     direction, prior uniform.
     """
-    if k_max < 1:
-        raise ValidationError(f"k = {k_max} must be at least 1")
-    for name, price in (("kappa", kappa), ("lambda", lam)):
-        if not (price > 0) or not math.isfinite(price):
-            raise ValidationError(f"{name} = {price!r} must be positive")
+    k_max = _integer(k_max, "k", 1)
+    kappa, lam = _real(kappa, "kappa"), _real(lam, "lambda")
     p = 0.8
     half = np.full(2, 0.5)
     rows = []
@@ -109,7 +106,9 @@ _SWAN_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
 def swans_rows(kappa: float = 1.0, epsilon: float | None = None) -> Rows:
     """(epsilon, cost_I, cost_II, cost_II/cost_I) over an epsilon grid."""
-    grid = _SWAN_GRID if epsilon is None else (float(epsilon),)
+    grid = _SWAN_GRID
+    if epsilon is not None:
+        grid = (_real(epsilon, "epsilon", 0.0, 0.5, EpsilonOutOfRange),)
     rows = []
     for eps in grid:
         ci, cii = verification_asymmetry(eps, kappa)

@@ -11,7 +11,6 @@ bit-identical results.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,11 +29,14 @@ from .errors import (
 )
 from .experiments import (
     StateSpace,
-    _check_labels,
     _check_prob_matrix,
+    _finite,
     _floats,
     _full_support_row,
+    _integer,
     _json_labels,
+    _labels,
+    _real,
 )
 
 # an action is out of support when its probability is below this in every state
@@ -54,18 +56,10 @@ class DecisionProblem:
     prior: np.ndarray
 
     def __post_init__(self):
-        actions = tuple(self.actions)
+        actions = _labels(self.actions, "action")
         if len(actions) == 0:
             raise ValidationError("no actions")
-        _check_labels(actions, "action")
-        u = _floats(self.utility, "utility")
-        if u.shape != (len(actions), self.states.n):
-            raise DimensionMismatch(
-                f"utility shape {u.shape}, expected "
-                f"({len(actions)}, {self.states.n})"
-            )
-        if not np.all(np.isfinite(u)):
-            raise ValidationError("non-finite utility")
+        u = _finite(self.utility, "utility", (len(actions), self.states.n))
         q = _full_support_row(self.prior, self.states.n, "prior", PriorNotFullSupport)
         u.flags.writeable = False
         q.flags.writeable = False
@@ -89,7 +83,7 @@ class ChoiceRule:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_2d(np.array(self.probs, dtype=float, copy=True))
+        p = np.atleast_2d(_floats(self.probs, "choice rule"))
         _check_prob_matrix(p, "choice rule", positive=False)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -101,13 +95,8 @@ class SolveOptions:
     max_iter: int = 200000
 
     def __post_init__(self):
-        tol, max_iter = self.tol, self.max_iter
-        if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
-            raise ValidationError(f"tol = {tol!r} must be a finite positive number")
-        if isinstance(max_iter, bool) or not (
-            isinstance(max_iter, numbers.Integral) and max_iter > 0
-        ):
-            raise ValidationError(f"max_iter = {max_iter!r} must be a positive integer")
+        object.__setattr__(self, "tol", _real(self.tol, "tol"))
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter", 1))
 
 
 @dataclass(frozen=True)
@@ -467,9 +456,7 @@ def solve_mutual_information(
     image, are within tol; ``iterations`` counts active-set Newton steps.
     """
     opts = opts or SolveOptions()
-    lam = float(lam)
-    if not (lam > 0) or not math.isfinite(lam):
-        raise ValidationError(f"lambda = {lam!r} must be positive")
+    lam = _real(lam, "lambda")
     q, tol = problem.prior, opts.tol
     W = problem.utility.T / lam  # (state, action)
     E = np.exp(W - W.max(axis=1, keepdims=True))
@@ -538,9 +525,7 @@ def perception_problem(r: int) -> DecisionProblem:
     {50-r..49, 51..50+r}; guess whether blue (B) or red (R) dots are the
     majority, payoff 1 for a correct guess.
     """
-    r = int(r)
-    if not 1 <= r <= 50:
-        raise ValidationError(f"r = {r} outside 1..50")
+    r = _integer(r, "r", 1, 50)
     values = list(range(50 - r, 50)) + list(range(51, 51 + r))
     states = StateSpace(tuple(str(v) for v in values), values)
     u = np.array(
@@ -589,12 +574,9 @@ def lipschitz_check(
     this bound; it quantifies how fast choice probabilities may move across
     nearby states.
     """
-    v = np.asarray(values, dtype=float).ravel()
     P = rule.probs
-    if v.size != P.shape[0]:
-        raise DimensionMismatch(f"{v.size} values for {P.shape[0]} states")
-    if not (u_norm > 0) or not math.isfinite(u_norm):
-        raise ValidationError(f"u_norm = {u_norm!r} must be positive")
+    v = _finite(values, "values", (P.shape[0],))
+    u_norm, gamma = _real(u_norm, "u_norm"), _real(gamma, "gamma")
     dist = np.abs(v[:, None] - v[None, :])
     off = ~np.eye(v.size, dtype=bool)
     if np.any(dist[off] == 0.0):

@@ -362,6 +362,17 @@ class TestInputErrors:
                 "utility",
             ),
             (
+                # a valid JSON integer that no float can hold
+                "problem",
+                {
+                    "states": ["s0", "s1"],
+                    "actions": ["a0", "a1"],
+                    "utility": [[10**400, 0], [0, 1]],
+                    "prior": [0.5, 0.5],
+                },
+                "utility",
+            ),
+            (
                 "experiment",
                 {"states": ["H", "L"], "signals": ["h", "t"], "probs": [[0.8, 0.2], [1.0]]},
                 "experiment probs",
@@ -386,8 +397,20 @@ class TestInputErrors:
                 "state values",
             ),
             ("beta", {"rule": "inverse_square", "kappa": "abc"}, "kappa"),
+            ("beta", {"rule": "inverse_square", "kappa": True}, "kappa"),
+            ("beta", {"rule": "constant", "value": False}, "value"),
         ],
-        ids=["not-object", "utility", "ragged", "label", "values", "kappa"],
+        ids=[
+            "not-object",
+            "utility",
+            "utility-huge-int",
+            "ragged",
+            "label",
+            "values",
+            "kappa",
+            "kappa-true",
+            "value-false",
+        ],
     )
     def test_malformed_values_exit_2(
         self, role, obj, says, exp_file, beta_file, tmp_path, capsys

@@ -320,6 +320,17 @@ class TestPosteriorRoute:
         with pytest.raises(PriorNotFullSupport):
             llr_cost_via_posteriors(mu, beta, (1.0, 0.0))
 
+    def test_extreme_valid_prior_prices_like_the_direct_cost(self):
+        # the posterior after signal "x" puts 7.5e-13 on state "b", below the
+        # floor a user-given row must clear, yet the prior itself is valid
+        states = StateSpace(("a", "b"))
+        mu = make_experiment(states, ("x", "y"), [[0.5, 0.5], [0.25, 0.75]])
+        beta = constant_betas(states, 1.0)
+        prior = (1.0 - 1.5e-12, 1.5e-12)
+        assert llr_cost_via_posteriors(mu, beta, prior) == pytest.approx(
+            llr_cost(mu, beta), rel=1e-12
+        )
+
     def test_potential_is_zero_at_its_prior(self):
         beta = constant_betas(StateSpace(("a", "b", "c")), 1.3)
         q = np.array([0.2, 0.3, 0.5])
