@@ -17,7 +17,6 @@ itself gets tested.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -40,12 +39,11 @@ from .costs import (
     llr_cost,
     llr_cost_via_posteriors,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 from .experiments import (
     Experiment,
     GarblingMatrix,
     StateSpace,
-    _integer,
     blackwell_dominates,
     dilute,
     garble,
@@ -279,7 +277,7 @@ def run_suite(
     else:
         raise ValidationError(f"suite {suite!r} not one of axioms, appendix, all")
     trials = _integer(trials, "trials", 1)
-    rng = Xoshiro256(_integer(seed, "seed", -math.inf, math.inf))
+    rng = Xoshiro256(seed)
     results = []
     for name, bound, cap, trial in props:
         n = trials if cap is None else min(trials, cap)

@@ -203,3 +203,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

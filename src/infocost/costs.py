@@ -35,6 +35,7 @@ from .errors import (
     SolverFailure,
     StateSpaceMismatch,
     ValidationError,
+    _real,
 )
 from .experiments import (
     Experiment,
@@ -45,7 +46,6 @@ from .experiments import (
     _full_support_row,
     _json_labels,
     _posteriors,
-    _real,
 )
 
 # largest rule-backed matrix dense() builds; its square caps the value span
@@ -294,8 +294,12 @@ def binary_cost(p: float, beta: BetaMatrix) -> float:
 
 
 def _flip_divergence(x: float) -> float:
-    """KL((x, 1-x) || (1-x, x)) = x ln(x/(1-x)) + (1-x) ln((1-x)/x)."""
-    return x * math.log(x / (1 - x)) + (1 - x) * math.log((1 - x) / x)
+    """KL((x, 1-x) || (1-x, x)) = (2x - 1) ln(x / (1 - x)), written as
+    d ln(1 + d/a) with d = |2x - 1| and a = min(x, 1 - x).  a is exact (1 - x
+    is, for x >= 1/2) and so is d for x >= 1/4, so no digits cancel near
+    x = 1/2, and the value is never negative."""
+    d, a = abs(2 * x - 1), min(x, 1 - x)
+    return d * math.log1p(d / a)
 
 
 def normal_cost(means: Sequence[float], sigma: float, beta: BetaMatrix) -> float:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -42,9 +43,11 @@ from .errors import (
     DimensionTooLarge,
     IncompleteInput,
     ValidationError,
+    _cast,
+    _integer,
 )
-from .experiments import LLRDistribution, _cast, _check_prob_matrix, _finite, _floats, _freeze
-from .experiments import _integer, _merge_point_rows
+from .experiments import LLRDistribution, _check_prob_matrix, _finite, _floats, _freeze
+from .experiments import _merge_point_rows
 
 MultiIndex = tuple[int, ...]
 
@@ -218,11 +221,18 @@ class MomentVector:
             vals = dict(self.values)
         except (TypeError, ValueError):
             raise ValidationError("values must map multi-indices to numbers") from None
-        # a finite sum means every value is a finite real; fsum reads each
-        # value as math.isfinite does, and never rounds a finite sum to inf
-        # without raising
+        # real types other than bool (_cast's rule) with a finite sum mean
+        # every value is a finite real; fsum reads each value as
+        # math.isfinite does, and never rounds a finite sum to inf without
+        # raising
         try:
-            finite = math.isfinite(math.fsum(map(vals.__getitem__, box)))
+            column = list(map(vals.__getitem__, box))
+            types = set(map(type, column))
+            finite = (
+                bool not in types
+                and all(issubclass(t, numbers.Real) for t in types)
+                and math.isfinite(math.fsum(column))
+            )
         except (KeyError, TypeError, ValueError, OverflowError):
             finite = False
         if not finite:

@@ -16,7 +16,6 @@ divergence values downstream.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,6 +36,7 @@ from .errors import (
     SolverFailure,
     StateSpaceMismatch,
     ValidationError,
+    _real,
 )
 
 ENTRY_FLOOR = 1e-12
@@ -63,35 +63,6 @@ def _finite(obj, what: str, shape: tuple | None = None) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValidationError(f"non-finite {what}")
     return out
-
-
-def _cast(x, to):
-    """to(x) for a real x other than a bool, else NaN; NaN also where `to`
-    fails: an int too large for a float, or inf or NaN for int."""
-    try:
-        return to(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
-    except (OverflowError, ValueError):
-        return math.nan
-
-
-def _real(x, what: str, lo=0.0, hi=math.inf, error=ValidationError, closed=False) -> float:
-    """x as a float in (lo, hi), or in (lo, hi] when `closed`, else `error`:
-    Python and numpy reals and Fraction count; bools, strings, None and
-    arrays do not."""
-    v = _cast(x, float)
-    if lo < v < hi or (closed and v == hi):
-        return v
-    raise error(f"{what} = {x!r} is not a real number in ({lo:g}, {hi:g}{']' if closed else ')'}")
-
-
-def _integer(x, what: str, lo, hi=2**63 - 1, error=ValidationError) -> int:
-    """x as an int in lo..hi, else `error`: an integral real such as 3 or
-    3.0 counts; a bool does not, and 2.5 is refused, never truncated.  By
-    default hi is the largest int64: no count or index goes beyond it."""
-    v = _cast(x, int)
-    if v == x and lo <= v <= hi:
-        return v
-    raise error(f"{what} = {x!r} is not an integer in {lo}..{hi}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

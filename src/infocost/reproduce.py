@@ -27,8 +27,8 @@ from .costs import (
     partition_coefficient,
     verification_asymmetry,
 )
-from .errors import EpsilonOutOfRange, UnknownReproduction
-from .experiments import StateSpace, _integer, _real
+from .errors import EpsilonOutOfRange, UnknownReproduction, _integer, _real
+from .experiments import StateSpace
 
 Rows = list[tuple]
 

@@ -25,6 +25,10 @@ uniform() maps the top 53 bits of one output to [0, 1).
 
 from __future__ import annotations
 
+import math
+
+from .errors import _integer
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -43,7 +47,7 @@ class Xoshiro256:
     """xoshiro256** stream; deterministic given the integer seed."""
 
     def __init__(self, seed: int = 0):
-        seed = int(seed) & MASK64
+        seed = _integer(seed, "seed", -math.inf, math.inf) & MASK64
         self._s = [
             _splitmix64((seed + p * 0x9E3779B97F4A7C15) & MASK64)
             for p in (1, 2, 3, 4)

@@ -26,6 +26,8 @@ from .errors import (
     StateSpaceMismatch,
     ValidationError,
     ZeroProbabilityOnSupport,
+    _integer,
+    _real,
 )
 from .experiments import (
     StateSpace,
@@ -33,10 +35,8 @@ from .experiments import (
     _finite,
     _floats,
     _full_support_row,
-    _integer,
     _json_labels,
     _labels,
-    _real,
 )
 
 # an action is out of support when its probability is below this in every state
@@ -296,6 +296,16 @@ def solve_llr(
        converged.  Otherwise add the action with the largest lower bound
        (lowest index on ties) along its maximiser, by the same halving
        search, and go back to 2.
+
+    A converged rule's objective is within n * tol of the optimum, n the
+    number of states:
+    - sum_i lam_i = objective(P) (Euler's identity);
+    - with v_a as in step 3 for every action a, v_a <= max_i (w_a - lam -
+      grad f(y))_i at any y;
+    - every test's upper bound is at most tol, and at y = P[:, a] so is
+      every supported action's, being at most the support residual;
+    - the optimum's column masses m_a sum to n, so
+      OPT <= sum_i lam_i + sum_a m_a v_a <= objective(P) + n * tol.
 
     ``iterations`` counts Newton steps, on the support and each test's
     own, and the rescalings of step 2; ``opts.max_iter`` caps them.  Excluded

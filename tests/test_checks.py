@@ -211,6 +211,20 @@ class TestSeededDraws:
         arrays = [a for _ in range(5) for a in _draws(name, rng)]
         assert _digest(arrays) == want
 
+    @pytest.mark.parametrize(
+        "seed, first",
+        [
+            (3.0, 0xB0CDABDAE5668CC0),
+            (np.uint64(5), 0x49D55178CA54CF69),
+            (-1, 0x8F5520D52A7EAD08),
+            (2**70, 0x99EC5F36CB75F2B4),
+        ],
+        ids=["float-3", "uint64-5", "minus-1", "2**70"],
+    )
+    def test_integral_seeds_keep_their_streams(self, seed, first):
+        # any integral real seeds as itself mod 2**64
+        assert Xoshiro256(seed).next_u64() == first
+
     def test_suite_deviations_replay(self):
         got = tuple(
             (r.name, float.hex(r.max_deviation))

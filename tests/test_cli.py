@@ -6,6 +6,7 @@ pins down what an interactive caller actually sees on stderr.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,21 @@ class TestCost:
         assert report["cost"] == pytest.approx(1.663553233343869, rel=1e-12)
         assert report["delta"] < 1e-10
         assert np.array(report["kl"]).shape == (2, 2)
+
+    def test_extreme_valid_prior(self, beta_file, tmp_path, capsys):
+        # a posterior puts 7.5e-13 on a state, below the floor a user-given
+        # row must clear, yet the prior itself is valid
+        exp = tmp_path / "skew.json"
+        exp.write_text(
+            json.dumps(
+                {"states": ["a", "b"], "signals": ["x", "y"], "probs": [[0.5, 0.5], [0.25, 0.75]]}
+            )
+        )
+        argv = ["cost", "--experiment", str(exp), "--beta", beta_file]
+        argv += ["--prior", "0.9999999999985,1.5e-12", "--format", "json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cost_via_posteriors"] == pytest.approx(report["cost"], rel=1e-12)
 
     def test_out_writes_file(self, exp_file, beta_file, tmp_path, capsys):
         out = tmp_path / "cost.csv"
@@ -274,6 +290,20 @@ class TestReproduce:
         assert np.all(rows[:, 2] <= 0.7 * math.log(2.0) + 1e-12)
         llr = rows[:, 1]
         assert np.abs(llr / (rows[:, 0] * llr[0]) - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["swans"], ["perception"], ["coinflip", "--k", "1200"]],
+        ids=["swans", "perception", "coinflip-1200"],
+    )
+    def test_runs_at_its_defaults(self, argv, capsys):
+        assert main(["reproduce", *argv]) == 0
+        header, *rows = capsys.readouterr().out.strip().split("\n")
+        assert rows
+        for row in rows:
+            label, *numbers = row.split(",")
+            assert len(numbers) == header.count(",")
+            assert all(math.isfinite(float(x)) for x in numbers)
 
     @pytest.mark.parametrize(
         "flag,value", [("--kappa", "-1"), ("--lambda", "-2"), ("--kappa", "nan")]
@@ -501,6 +531,30 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         assert "NonConcaveWarning" in proc.stderr
         assert json.loads(proc.stdout)["converged"] is True
+
+    @pytest.mark.parametrize(
+        "argv, code, says",
+        [
+            (["--help"], 0, "usage: infocost"),
+            (["reproduce", "swans"], 0, "epsilon,cost_I,cost_II,ratio"),
+            (["solve", "--problem", "{five}", "--cost", "mi"], 2, "input error"),
+        ],
+        ids=["help", "swans", "malformed-problem"],
+    )
+    def test_module_runs_from_the_source_tree(self, argv, code, says, tmp_path):
+        five = tmp_path / "five.json"
+        five.write_text("5")
+        src = str(Path(infocost.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "infocost.cli", *(a.format(five=five) for a in argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert says in proc.stdout + proc.stderr
 
     def test_import_leaves_scipy_unloaded(self):
         src = str(Path(infocost.__file__).parents[1])

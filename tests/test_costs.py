@@ -288,6 +288,27 @@ class TestLLRCost:
             with pytest.raises(POutOfRange):
                 binary_cost(p, beta)
 
+    def test_flip_closed_forms_keep_their_digits(self):
+        # both closed forms scale (2x - 1) ln(x / (1 - x)), which cancels
+        # near x = 1/2 when summed as two log terms; against 60 digits from
+        # alpha - 1/2 = +-1e-12 out to x = 1e-29 and 1 - 1e-15
+        states = StateSpace(("a", "b"))
+        beta = BetaMatrix(states, [[0.0, 0.7], [1.9, 0.0]])
+        h = Hypothesis(states, {0})
+        steps = [m * 10.0**-k for k in range(1, 13) for m in (1, 2, 3.3, 5, 7.1)]
+        xs = [0.5 + s * d for d in steps if d < 0.5 for s in (1, -1)]
+        xs += [1e-29, 1e-10, 0.1, 1 - 1e-15]
+        with mp.workdps(60):
+            for x in xs:
+                flip = (2 * mp.mpf(x) - 1) * mp.log(mp.mpf(x) / (1 - mp.mpf(x)))
+                for got, scale in (
+                    (binary_cost(x, beta), mp.mpf(0.7) + mp.mpf(1.9)),
+                    (hypothesis_test_cost(beta, h, x), mp.mpf(partition_coefficient(beta, h))),
+                ):
+                    want = scale * flip
+                    assert got >= 0.0
+                    assert abs(got - want) <= 1e-15 * want, x
+
 
 class TestPosteriorRoute:
     """The potential-function route must reproduce the direct cost at any

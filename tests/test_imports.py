@@ -120,6 +120,14 @@ class TestWhatLoads:
         )
         assert out == f"{code} False ['infocost.cli', 'infocost.errors']"
 
+    def test_generator_loads_no_numpy(self):
+        out = _run(
+            "import infocost.rng\n"
+            "mods = sorted(m for m in sys.modules if m.startswith('infocost.'))\n"
+            "print('numpy' in sys.modules, mods)"
+        )
+        assert out == "False ['infocost.errors', 'infocost.rng']"
+
     def test_check(self):
         assert _loaded("check", "--trials", "2")["modules"] == [
             "checks",

@@ -304,6 +304,7 @@ SURFACES = {
     "run_suite.suite": lambda x: ic.run_suite(x, trials=1),
     "run_suite.seed": lambda x: ic.run_suite("axioms", seed=x, trials=1),
     "run_suite.trials": lambda x: ic.run_suite("axioms", trials=x),
+    "Xoshiro256.seed": lambda x: ic.Xoshiro256(x),
     "FiniteDistribution.atoms": lambda x: ic.FiniteDistribution(x, [1.0]),
     "FiniteDistribution.weights": lambda x: ic.FiniteDistribution([[0.0]], x),
     "finite_distribution.points": lambda x: ic.finite_distribution(x, [1.0]),
@@ -347,6 +348,9 @@ def test_pool_raises_only_validation_errors(surface):
         lambda: ic.solve_mutual_information(PROBLEM_2X2, "1"),
         lambda: ic.blackwell_dominates(MU, MU, 0.0),
         lambda: ic.check_admissible(DIST, -1.0),
+        lambda: ic.Xoshiro256(2.7),
+        lambda: ic.Xoshiro256("12"),
+        lambda: ic.Xoshiro256(True),
     ],
     ids=[
         "r-2.7",
@@ -359,6 +363,9 @@ def test_pool_raises_only_validation_errors(surface):
         "lambda-string",
         "dominance-tol-0",
         "admissible-tol-negative",
+        "seed-2.7",
+        "seed-string",
+        "seed-true",
     ],
 )
 def test_values_are_refused_not_coerced(call):

@@ -10,6 +10,7 @@ of random rules that must never beat the reported optimum.
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -493,6 +494,22 @@ class TestSolveLLR:
             assert res.objective == pytest.approx(want, abs=1e-7)
             assert np.count_nonzero(res.rule.probs.max(axis=0)) == 2
 
+    def test_converged_objective_is_within_n_tol_of_the_optimum(self):
+        # the bound in solve_llr's docstring; a tol-1e-13 solve's objective
+        # is at most the optimum, converged or not, so it stands in for OPT
+        rng = Xoshiro256(7)
+        converged = 0
+        for _ in range(200):
+            problem = rand_problem(rng, rng.randint(2, 5), rng.randint(2, 5))
+            beta = rand_beta(rng, problem.states)
+            best = solve_llr(problem, beta, SolveOptions(tol=1e-13)).objective
+            for tol in (1e-2, 1e-3, 1e-5):
+                res = solve_llr(problem, beta, SolveOptions(tol=tol))
+                if res.converged:
+                    converged += 1
+                    assert best - res.objective <= problem.n_states * tol
+        assert converged == 600
+
     def test_quadratic_loss_grids_converge(self):
         for n in (15, 25, 50, 200):
             problem = _quadratic_grid(np.linspace(0.0, 1.0, n), 10)
@@ -509,7 +526,9 @@ class TestSolveLLR:
         # is a per-action test, which from the uniform point each round took
         # 5,759 iterations
         problem = _quadratic_grid(np.linspace(0.0, 1.0, 30), 40)
+        t0 = time.perf_counter()
         res = solve_llr(problem, one_dimensional_betas(problem.states, 1e-3))
+        assert time.perf_counter() - t0 < 60.0
         assert res.converged
         assert np.count_nonzero(res.rule.probs.max(axis=0)) == 8
         assert res.objective == pytest.approx(-0.0340746971875154, abs=1e-12)
@@ -520,7 +539,9 @@ class TestSolveLLR:
         # 39^2 times lower than on the unit grid, every action is used, and
         # most of the solve is support Newton steps, up to 16 columns wide
         problem = _quadratic_grid(np.arange(40), 16)
+        t0 = time.perf_counter()
         res = solve_llr(problem, one_dimensional_betas(problem.states, 0.01))
+        assert time.perf_counter() - t0 < 60.0
         assert res.converged
         assert np.count_nonzero(res.rule.probs.max(axis=0)) == 16
         assert res.objective == pytest.approx(-0.0020885450847356627, abs=1e-12)
