@@ -59,7 +59,7 @@ def _cmd_cost(args) -> int:
     import numpy as np
 
     from .costs import beta_from_json, kl_matrix, llr_cost_via_posteriors
-    from .experiments import _floats, experiment_from_json
+    from .experiments import _floats, _parsed, experiment_from_json
 
     mu = experiment_from_json(_load_json(args.experiment))
     beta = beta_from_json(_load_json(args.beta), states=mu.states)
@@ -68,7 +68,8 @@ def _cmd_cost(args) -> int:
     cost = float(np.sum(coef * kl))  # llr_cost(mu, beta), reusing kl
     report = {"cost": cost}
     if args.prior is not None:
-        prior = _floats(args.prior.split(","), f"bad prior {args.prior!r}")
+        what = f"bad prior {args.prior!r}"
+        prior = _floats([_parsed(s, what) for s in args.prior.split(",")], what)
         via = llr_cost_via_posteriors(mu, beta, prior)
         report["cost_via_posteriors"] = via
         report["delta"] = abs(cost - via)

@@ -45,6 +45,7 @@ from .experiments import (
     _floats,
     _full_support_row,
     _json_labels,
+    _parsed,
     _posteriors,
 )
 
@@ -538,5 +539,5 @@ def _rule_number(obj: dict, key: str) -> float:
         raise IncompleteInput(f"rule {obj['rule']!r} needs {key}")
     value = obj[key]
     if isinstance(value, str):  # rule files may spell numbers as strings
-        value = float(_floats(value, key))
+        value = _parsed(value, key)
     return _real(value, key, -math.inf)

@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
     _cast,
     _integer,
+    _is_real,
 )
 from .experiments import LLRDistribution, _check_prob_matrix, _finite, _floats, _freeze
 from .experiments import _merge_point_rows
@@ -241,7 +242,10 @@ class MomentVector:
             for alpha in box:
                 if alpha not in vals:
                     raise IncompleteInput(f"missing index {alpha}")
-                if not math.isfinite(_cast(vals[alpha], float)):
+                value = vals[alpha]
+                if not _is_real(value):
+                    raise ValidationError(f"value at {alpha} = {value!r} is not a real number")
+                if not math.isfinite(_cast(value, float)):
                     raise ValidationError(f"non-finite value at {alpha}")
         object.__setattr__(self, "values", vals)
 

@@ -93,11 +93,17 @@ class NonConcaveWarning(RuntimeWarning):
     concave but not strictly, so the optimum need not be unique."""
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number: a Python or numpy real or a Fraction, not
+    a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _cast(x, to):
-    """to(x) for a real x other than a bool, else NaN; NaN also where `to`
-    fails: an int too large for a float, or inf or NaN for int."""
+    """to(x) for a real x (`_is_real`), else NaN; NaN also where `to` fails:
+    an int too large for a float, or inf or NaN for int."""
     try:
-        return to(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+        return to(x) if _is_real(x) else math.nan
     except (OverflowError, ValueError):
         return math.nan
 

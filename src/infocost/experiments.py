@@ -36,6 +36,7 @@ from .errors import (
     SolverFailure,
     StateSpaceMismatch,
     ValidationError,
+    _is_real,
     _real,
 )
 
@@ -45,9 +46,27 @@ LLR_MERGE_TOL = 1e-12
 DOMINANCE_TOL = 1e-8
 
 
+def _check_reals(obj, what: str) -> None:
+    """ValidationError unless every entry of obj, read through lists, tuples
+    and ranges, is a real (`_is_real`: no bools, no strings) or an integer
+    or float array."""
+    if isinstance(obj, (list, tuple)):
+        if not set(map(type, obj)) <= {float, int}:  # else every entry is real
+            for x in obj:
+                _check_reals(x, what)
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind not in "fiu":
+            raise ValidationError(f"{what}: {obj.dtype} array is not real")
+    elif not isinstance(obj, range) and not _is_real(obj):
+        raise ValidationError(f"{what}: {obj!r} is not a real number")
+
+
 def _floats(obj, what: str, shape: tuple | None = None) -> np.ndarray:
-    """A float array copy of obj; ValidationError if ragged, not numeric or
-    an integer too large for a float, DimensionMismatch if not of `shape`."""
+    """A float array copy of obj; ValidationError if ragged, if some entry is
+    not a real number (`_check_reals`) or is an integer too large for a
+    float, DimensionMismatch if not of `shape`."""
+    if not (isinstance(obj, np.ndarray) and obj.dtype.kind in "fiu"):
+        _check_reals(obj, what)
     try:
         out = np.array(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -55,6 +74,15 @@ def _floats(obj, what: str, shape: tuple | None = None) -> np.ndarray:
     if shape is not None and out.shape != shape:
         raise DimensionMismatch(f"{what}: shape {out.shape}, expected {shape}")
     return out
+
+
+def _parsed(text: str, what: str) -> float:
+    """The number that text spells, as float() reads it; ValidationError if
+    it spells none."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def _finite(obj, what: str, shape: tuple | None = None) -> np.ndarray:

@@ -268,7 +268,8 @@ def solve_llr(
     1. Start at the no-information corner of the best uninformed action.
     2. On the supported columns, take equality-constrained Newton steps
        (row sums held at 1), halving the step until it stays positive and
-       the objective, concave along it, has risen or not yet peaked.  A
+       the objective, concave along it, has risen or not yet peaked; a
+       point outside the simplex is rejected without being priced.  A
        column the full step drives out of the simplex is dropped as exact
        zeros when dropping it at that boundary does not lower the
        objective.  More columns than states are linearly dependent; the
@@ -286,16 +287,19 @@ def solve_llr(
        and a positive v_b is the objective's slope along mass moved onto b
        in proportion to its maximiser.  Each test starts from its own last
        maximiser in this solve (the uniform point the first time) and
-       stops once the upper bound or the gap between the bounds is within
-       tol, or its step no longer moves y.  The open tests take damped
-       Newton steps together, a halving per test: each step eliminates the
-       last state's entry of every direction and solves one stack of
-       (n-1)-square systems, singular all together when the price graph is
-       disconnected, and then no test moves.
-    4. If every test is within tol the rule is optimal: return it as
-       converged.  Otherwise add the action with the largest lower bound
-       (lowest index on ties) along its maximiser, by the same halving
-       search, and go back to 2.
+       stops as soon as its bounds decide it: the upper bound is within
+       tol (b does not pay), the lower bound is above tol (b pays, and the
+       entering step and the support steps after it refine its column, so
+       a sharper maximiser buys nothing), or the gap between the bounds is
+       within tol; it also stops once its step no longer moves y.  The
+       open tests take damped Newton steps together, a halving per test:
+       each step eliminates the last state's entry of every direction and
+       solves one stack of (n-1)-square systems, singular all together
+       when the price graph is disconnected, and then no test moves.
+    4. If every test ends with its upper bound within tol the rule is
+       optimal: return it as converged.  Otherwise add the action with the
+       largest lower bound (lowest index on ties) along its maximiser, by
+       the same halving search, and go back to 2.
 
     A converged rule's objective is within n * tol of the optimum, n the
     number of states:
@@ -340,12 +344,17 @@ def solve_llr(
         # objective being concave along D, either gains on `value` or has
         # not passed its peak; with axis=0 column by column, each column
         # against its own value.  Returns that point, its gains and
-        # objective, and whether it moved from X at all; a point that left
-        # the simplex is priced at the placeholder 1, which `pos` masks
+        # objective, and whether it moved from X at all.  While no column
+        # is positive the step is halved unpriced, as every column would be
+        # rejected; a column that left the simplex while another did not
+        # is priced at the placeholder 1, which `pos` masks
         while True:
             Y = X + D
-            moved = (Y != X).any(axis)
             pos = (Y > 0.0).all(axis)
+            if not pos.any():
+                D = 0.5 * D
+                continue
+            moved = (Y != X).any(axis)
             Y = np.where(pos, Y, 1.0)
             G = gains(Y, C)
             v = (G * Y).sum(axis)
@@ -358,15 +367,17 @@ def solve_llr(
         # bounds lower <= v <= upper on v = max_y <c, y> - f(y) over the
         # simplex for each column c of C, by damped Newton steps taken
         # together from the columns of Y, which end at the y attaining
-        # `lower`; a test stops once upper or upper - lower is within tol,
-        # or once its step (zero if its Newton system is singular) no
-        # longer moves y
+        # `lower`; a test stops once its bounds decide it (upper within tol,
+        # lower above tol: entering refines a paying column, so its
+        # maximiser need not be sharp) or upper - lower is within tol, or
+        # once its step (zero if its Newton system is singular) no longer
+        # moves y
         nonlocal it
         G = gains(Y, C)
         lower, upper = (G * Y).sum(axis=0), G.max(axis=0)
         live = np.arange(C.shape[1])
         y, g, c, lo = Y, G, C, lower
-        keep = (upper > tol) & (upper - lower > tol)
+        keep = (lower <= tol) & (upper > tol) & (upper - lower > tol)
         while True:
             keep[opts.max_iter - it :] = False  # tests past the cap stop here
             if not keep.all():
@@ -378,7 +389,7 @@ def solve_llr(
             y, g, lo, moved = ascend(y, _test_steps(y, g, B, Bsum), c, lo, axis=0)
             up = g.max(axis=0)
             Y[:, live], lower[live], upper[live] = y, lo, up
-            keep = moved & (up > tol) & (up - lo > tol)
+            keep = moved & (lo <= tol) & (up > tol) & (up - lo > tol)
 
     cols = [int(np.argmax(W.sum(axis=0)))]
     X = np.ones((n, 1))

@@ -209,6 +209,9 @@ class TestBetaJson:
         states = StateSpace(("a", "b"))
         back = beta_from_json({"rule": "constant", "value": 2.0}, states=states)
         np.testing.assert_array_equal(back.dense(), [[0.0, 2.0], [2.0, 0.0]])
+        # a rule file may spell its number as a string
+        spelled = beta_from_json({"rule": "constant", "value": "2.0"}, states=states)
+        np.testing.assert_array_equal(spelled.dense(), back.dense())
 
     def test_rejects_unknown_rule(self):
         with pytest.raises(ValidationError):

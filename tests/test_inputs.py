@@ -25,9 +25,10 @@ from infocost.cli import main
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
 # a string, a number, a bool, None, NaN, +-inf, an integer too large for a
-# float, a ragged and a nested list, and 2.5 for integer parameters
+# float, a ragged and a nested list, 2.5 for integer parameters, and lists of
+# bools and of numeric strings for array fields
 COMMON = ("x", 3, True, None, math.nan, math.inf, -math.inf, 10**400, [[1.0, 2.0], [3.0]])
-COMMON += ([[1.0]], 2.5)
+COMMON += ([[1.0]], 2.5, [True, False], ["0.5", "0.5"])
 JSON_POOL = COMMON + ({},)  # and an object, as JSON has them
 POOL = COMMON + (object(), Fraction(1, 3))
 
@@ -351,6 +352,11 @@ def test_pool_raises_only_validation_errors(surface):
         lambda: ic.Xoshiro256(2.7),
         lambda: ic.Xoshiro256("12"),
         lambda: ic.Xoshiro256(True),
+        lambda: ic.StateSpace(("lo", "hi"), [True, False]),
+        lambda: ic.DecisionProblem(STATES, ("a", "b"), [[True, False], [0.0, 1.0]], HALF),
+        lambda: ic.Experiment(STATES, ("h", "t"), [["0.5", "0.5"], ["0.2", "0.8"]]),
+        lambda: ic.DecisionProblem(STATES, ("a", "b"), PROBLEM["utility"], np.array(["0.5"] * 2)),
+        lambda: ic.BetaMatrix(STATES, np.array([[False, True], [True, False]])),
     ],
     ids=[
         "r-2.7",
@@ -366,6 +372,11 @@ def test_pool_raises_only_validation_errors(surface):
         "seed-2.7",
         "seed-string",
         "seed-true",
+        "values-bools",
+        "utility-bools",
+        "probs-strings",
+        "prior-string-array",
+        "coef-bool-array",
     ],
 )
 def test_values_are_refused_not_coerced(call):
