@@ -50,13 +50,13 @@ def _check_reals(obj, what: str) -> None:
     """ValidationError unless every entry of obj, read through lists, tuples
     and ranges, is a real (`_is_real`: no bools, no strings) or an integer
     or float array."""
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind not in "fiu":
+            raise ValidationError(f"{what}: {obj.dtype} array is not real")
+    elif isinstance(obj, (list, tuple)):
         if not set(map(type, obj)) <= {float, int}:  # else every entry is real
             for x in obj:
                 _check_reals(x, what)
-    elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind not in "fiu":
-            raise ValidationError(f"{what}: {obj.dtype} array is not real")
     elif not isinstance(obj, range) and not _is_real(obj):
         raise ValidationError(f"{what}: {obj!r} is not a real number")
 
@@ -65,8 +65,7 @@ def _floats(obj, what: str, shape: tuple | None = None) -> np.ndarray:
     """A float array copy of obj; ValidationError if ragged, if some entry is
     not a real number (`_check_reals`) or is an integer too large for a
     float, DimensionMismatch if not of `shape`."""
-    if not (isinstance(obj, np.ndarray) and obj.dtype.kind in "fiu"):
-        _check_reals(obj, what)
+    _check_reals(obj, what)
     try:
         out = np.array(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -268,8 +268,7 @@ def solve_llr(
     1. Start at the no-information corner of the best uninformed action.
     2. On the supported columns, take equality-constrained Newton steps
        (row sums held at 1), halving the step until it stays positive and
-       the objective, concave along it, has risen or not yet peaked; a
-       point outside the simplex is rejected without being priced.  A
+       the objective, concave along it, has risen or not yet peaked.  A
        column the full step drives out of the simplex is dropped as exact
        zeros when dropping it at that boundary does not lower the
        objective.  More columns than states are linearly dependent; the
@@ -344,17 +343,12 @@ def solve_llr(
         # objective being concave along D, either gains on `value` or has
         # not passed its peak; with axis=0 column by column, each column
         # against its own value.  Returns that point, its gains and
-        # objective, and whether it moved from X at all.  While no column
-        # is positive the step is halved unpriced, as every column would be
-        # rejected; a column that left the simplex while another did not
-        # is priced at the placeholder 1, which `pos` masks
+        # objective, and whether it moved from X at all; a point that left
+        # the simplex is priced at the placeholder 1, which `pos` masks
         while True:
             Y = X + D
-            pos = (Y > 0.0).all(axis)
-            if not pos.any():
-                D = 0.5 * D
-                continue
             moved = (Y != X).any(axis)
+            pos = (Y > 0.0).all(axis)
             Y = np.where(pos, Y, 1.0)
             G = gains(Y, C)
             v = (G * Y).sum(axis)
