@@ -56,16 +56,13 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_cost(args) -> int:
-    import numpy as np
-
-    from .costs import beta_from_json, kl_matrix, llr_cost_via_posteriors
+    from .costs import beta_from_json, kl_matrix, llr_cost, llr_cost_via_posteriors
     from .experiments import _floats, _parsed, experiment_from_json
 
     mu = experiment_from_json(_load_json(args.experiment))
     beta = beta_from_json(_load_json(args.beta), states=mu.states)
-    kl = kl_matrix(mu)
-    coef = beta.dense()
-    cost = float(np.sum(coef * kl))  # llr_cost(mu, beta), reusing kl
+    cost = llr_cost(mu, beta)
+    kl, coef = kl_matrix(mu), beta.dense()
     report = {"cost": cost}
     if args.prior is not None:
         what = f"bad prior {args.prior!r}"

@@ -216,45 +216,44 @@ def constant_betas(states: StateSpace, value: float) -> BetaMatrix:
     return BetaMatrix(states, coef)
 
 
-def _kl_rows(P: np.ndarray) -> np.ndarray:
-    """D[i, j] = KL(P[i] || P[j]) for the rows of a non-negative row matrix.
-
-    All-zero columns are dropped first.  A zero entry counts 0 ln 0 = 0, and
-    D[i, j] is inf where row i puts mass on a column that row j does not.
-    """
-    pos = P > 0.0
-    if pos.all():
-        L = np.log(P)
-    else:
-        keep = pos.any(axis=0)
-        P, pos = P[:, keep], pos[:, keep]
-        L = np.log(np.where(pos, P, 1.0))
-    own = (P * L).sum(axis=1)
-    D = own[:, None] - P @ L.T  # (P @ L.T)[i, j] = sum_s P[i,s] ln P[j,s]
-    if not pos.all():
-        D[pos @ ~pos.T] = np.inf
-    np.fill_diagonal(D, 0.0)
-    return D
-
-
-def _rule_cost(P: np.ndarray, B: np.ndarray) -> float:
-    """sum_ij B[i, j] KL(P[i] || P[j]); a zero price contributes nothing,
-    even against an infinite divergence."""
-    D = _kl_rows(P)
-    D[B == 0.0] = 0.0
-    return float(np.sum(B * D))
-
-
 def kl_matrix(mu: Experiment) -> np.ndarray:
-    """D[i, j] = KL(row i || row j) for every ordered state pair."""
-    return _kl_rows(mu.probs)
+    """D[i, j] = KL(row i || row j) for every ordered state pair of the
+    experiment's positive rows, clamped at 0 as _nonnegative clamps."""
+    P = mu.probs
+    L = np.log(P)
+    D = (P * L).sum(axis=1)[:, None] - P @ L.T  # (P @ L.T)_ij = sum_s P_is ln P_js
+    np.fill_diagonal(D, 0.0)
+    return np.maximum(D, 0.0, out=D)
+
+
+def _nonnegative(cost: float) -> float:
+    """cost clamped at 0, which can only shrink the rounding error of a sum
+    of divergences; NaN and inf pass unchanged."""
+    return 0.0 if cost < 0.0 else cost
+
+
+def _rule_cost(P: np.ndarray, beta: BetaMatrix) -> float:
+    """sum_ij beta_ij KL(P[i] || P[j]) for a non-negative row matrix P, as
+    the LLR sum over its used columns.  It is inf where a positive beta_ij
+    meets P_ia > 0 = P_ja; a zero price contributes nothing, even there."""
+    P = P[:, P.max(axis=0) > 0.0]  # an unused action costs nothing
+    pos = P > 0.0
+    if not pos.all() and np.any(beta.apply((~pos).astype(float))[pos] > 0.0):
+        return math.inf  # (B 1[P = 0])_ia > 0 where P_ia > 0
+    # logs against row 0, else against the column's largest entry; ln 1 = 0
+    # fills the zeros, as only L_ia - L_ja of positive pairs reaches the sum
+    ref = np.where(pos[0], P[0], P.max(axis=0))
+    X = np.empty((P.shape[0], P.shape[1] + 1))
+    np.log(np.where(pos, P, ref) / ref, out=X[:, 1:])
+    return _nonnegative(_llr_sum(beta, P, X))
 
 
 def _llr_sum(beta: BetaMatrix, W: np.ndarray, X: np.ndarray) -> float:
     """sum_ij B_ij sum_s W_is (L_is - L_js) = sum W o (L o (B 1) - B L) for the
     (n, k) weights W and logs L held in columns 1: of the (n, k + 1) scratch
     X, whose column 0 is overwritten.  Only L_is - L_js counts, so callers
-    pass log-ratios against state 0: near zero, they cut rounding."""
+    pass log-ratios against state 0: near zero, they cut rounding.  Not
+    clamped: it also gives the potential F(p), which can be negative."""
     X[:, 0] = 1.0
     BX = beta.apply(X)
     return float(np.vdot(W, X[:, 1:] * BX[:, :1] - BX[:, 1:]))
@@ -267,7 +266,7 @@ def llr_cost(mu: Experiment, beta: BetaMatrix) -> float:
     P = mu.probs
     X = np.empty((P.shape[0], P.shape[1] + 1))
     np.log(P / P[0], out=X[:, 1:])  # an experiment's entries are positive
-    return _llr_sum(beta, P, X)
+    return _nonnegative(_llr_sum(beta, P, X))
 
 
 def llr_cost_from_distribution(dist: LLRDistribution, beta: BetaMatrix) -> float:
@@ -280,7 +279,7 @@ def llr_cost_from_distribution(dist: LLRDistribution, beta: BetaMatrix) -> float
         raise DimensionMismatch("state counts differ")
     X = np.zeros((dist.n_states, dist.n_atoms + 1))
     X[1:, 1:] = dist.atoms.T  # xi_0 = 0
-    return _llr_sum(beta, dist.weights, X)
+    return _nonnegative(_llr_sum(beta, dist.weights, X))
 
 
 def binary_cost(p: float, beta: BetaMatrix) -> float:
@@ -290,8 +289,8 @@ def binary_cost(p: float, beta: BetaMatrix) -> float:
     if beta.n != 2:
         raise DimensionMismatch("binary_cost needs a 2-state beta")
     p = _real(p, "p", 0.0, 1.0, POutOfRange)
-    coef = beta.dense()
-    return (coef[0, 1] + coef[1, 0]) * _flip_divergence(p)
+    b = partition_coefficient(beta, Hypothesis(beta.states, {0}))  # b01 + b10
+    return b * _flip_divergence(p)
 
 
 def _flip_divergence(x: float) -> float:
@@ -328,7 +327,8 @@ def _mutual_information(q: np.ndarray, P: np.ndarray) -> float:
     mask = (P > 0.0) & (pb > 0.0)
     ratio = np.ones_like(P)
     ratio[mask] = P[mask] / np.broadcast_to(pb, P.shape)[mask]
-    return float(np.sum(q[:, None] * np.where(mask, P * np.log(ratio), 0.0)))
+    terms = q[:, None] * np.where(mask, P * np.log(ratio), 0.0)
+    return _nonnegative(float(np.sum(terms)))
 
 
 def mutual_information_cost(mu: Experiment, prior, lam: float = 1.0) -> float:
@@ -367,7 +367,7 @@ def llr_cost_via_posteriors(mu: Experiment, beta: BetaMatrix, prior) -> float:
         raise StateSpaceMismatch("experiment and beta disagree on states")
     q = _full_support_row(prior, beta.n, "prior", PriorNotFullSupport)
     total = sum(m * _potential(beta, q, post) for post, m in _posteriors(mu, q))
-    return total - _potential(beta, q, q)
+    return _nonnegative(total - _potential(beta, q, q))
 
 
 @dataclass(frozen=True)

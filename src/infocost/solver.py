@@ -151,14 +151,14 @@ def _result(problem, P, cost, foc, iterations, converged) -> SolveResult:
 
 
 def objective(problem: DecisionProblem, rule: ChoiceRule, beta: BetaMatrix) -> float:
-    """Expected utility minus the rule's information cost.
+    """Expected utility minus the rule's information cost (_rule_cost).
 
     A zero probability on a supported action makes some KL divergence
     infinite; with a positive price on that pair the objective is -inf,
     not an error.
     """
     _check_dimensions(problem, rule, beta)
-    return _expected_utility(problem, rule.probs) - _rule_cost(rule.probs, beta.dense())
+    return _expected_utility(problem, rule.probs) - _rule_cost(rule.probs, beta)
 
 
 def _cost_gradient(P: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
@@ -453,7 +453,7 @@ def solve_llr(
     P = np.zeros((n, m))
     P[:, cols] = X
     foc = _residual(gains(X, W[:, cols])[:, X.max(axis=0) > SUPPORT_EPS])
-    return _result(problem, P, _rule_cost(P, B), foc, it, converged)
+    return _result(problem, P, _rule_cost(P, beta), foc, it, converged)
 
 
 def solve_mutual_information(

@@ -101,6 +101,20 @@ class TestCost:
         assert report["delta"] < 1e-10
         assert np.array(report["kl"]).shape == (2, 2)
 
+    def test_json_reports_llr_cost_and_no_negative_kl(self, beta_file, tmp_path, capsys):
+        # rows 1e-10 apart: unclamped, both divergences round to -2.2e-16
+        R = np.array([[0.9, 0.2, 0.1], [0.1, 0.9, 0.1]])
+        P = (1.0 - 1e-10) * np.array([0.2, 0.5, 0.3]) + 1e-10 * R / R.sum(axis=1)[:, None]
+        P /= P.sum(axis=1, keepdims=True)
+        mu = infocost.Experiment(infocost.StateSpace(("a", "b")), ("x", "y", "z"), P)
+        exp = tmp_path / "near.json"
+        exp.write_text(json.dumps(experiment_to_json(mu)))
+        argv = ["cost", "--experiment", str(exp), "--beta", beta_file, "--format", "json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cost"] == infocost.llr_cost(mu, infocost.constant_betas(mu.states, 1.0))
+        assert np.all(np.array(report["kl"]) >= 0.0)
+
     def test_extreme_valid_prior(self, beta_file, tmp_path, capsys):
         # a posterior puts 7.5e-13 on a state, below the floor a user-given
         # row must clear, yet the prior itself is valid

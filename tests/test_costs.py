@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_beta, rand_experiment, rand_prior, rand_states
+from conftest import rand_beta, rand_experiment, rand_prior, rand_problem, rand_states
 from infocost import (
     BetaMatrix,
+    Experiment,
     Hypothesis,
     StateSpace,
     Xoshiro256,
@@ -45,11 +46,12 @@ from infocost import (
     partition_coefficient,
     partition_experiment,
     posterior_separable_value,
+    solve_mutual_information,
     uninformative_experiment,
     verification_asymmetry,
 )
 from infocost import costs
-from infocost.costs import _crossing_counts, _rule_apply, _rule_grid
+from infocost.costs import _crossing_counts, _flip_divergence, _rule_apply, _rule_cost, _rule_grid
 from infocost.reproduce import gdp_rows
 from infocost.errors import (
     AlphaOutOfRange,
@@ -285,6 +287,27 @@ class TestLLRCost:
         beta = BetaMatrix(mu.states, coef)
         assert binary_cost(p, beta) == pytest.approx(llr_cost(mu, beta), rel=1e-12)
 
+    def test_binary_closed_form_is_the_hypothesis_test_bit_for_bit(self):
+        # explicit prices, the normalized rule on integer grids (exact
+        # partition sum) and the inverse-square rule on non-integer grids
+        # (dense sum): the pair sum b01 + b10 has the same bits either way
+        rng = Xoshiro256(36)
+        for kind in ("explicit", "one_dimensional", "inverse_square"):
+            for _ in range(100):
+                if kind == "explicit":
+                    beta = rand_beta(rng, rand_states(rng, 2))
+                else:
+                    lo, gap = rng.uniform_in(-50.0, 50.0), rng.uniform_in(0.5, 40.0)
+                    if kind == "one_dimensional":
+                        lo, gap = round(lo), round(gap)
+                    states = StateSpace(("a", "b"), (lo, lo + gap))
+                    beta = BetaMatrix(states, None, (kind, rng.uniform_in(0.1, 5.0)))
+                p = rng.uniform_in(0.01, 0.99)
+                coef = beta.dense()
+                got = binary_cost(p, beta)
+                assert got == (coef[0, 1] + coef[1, 0]) * _flip_divergence(p)
+                assert got == hypothesis_test_cost(beta, Hypothesis(beta.states, {0}), p)
+
     def test_binary_closed_form_rejects_bad_p(self):
         beta = constant_betas(StateSpace(("a", "b")), 1.0)
         for p in (0.0, 1.0, math.nan):
@@ -311,6 +334,50 @@ class TestLLRCost:
                     want = scale * flip
                     assert got >= 0.0
                     assert abs(got - want) <= 1e-15 * want, x
+
+
+def _near_uninformative(rng):
+    """Rows (1 - eps) m + eps R around their mean row m, eps log-uniform on
+    1e-15..1e-6, priced on [0.1, 1]: divergences so small that rounding can
+    take a signed sum below 0."""
+    states = rand_states(rng, rng.randint(2, 5))
+    R = rand_experiment(rng, states, rng.randint(2, 5)).probs
+    eps = 10.0 ** rng.uniform_in(-15.0, -6.0)
+    P = (1.0 - eps) * R.mean(axis=0) + eps * R
+    mu = Experiment(states, tuple(range(P.shape[1])), P / P.sum(axis=1, keepdims=True))
+    return mu, rand_beta(rng, states, 0.1, 1.0)
+
+
+class TestPricesAreNeverNegative:
+    def test_near_uninformative_experiments(self):
+        # unclamped, about a third of these sums round below 0
+        rng = Xoshiro256(2024)
+        for _ in range(40):
+            mu, beta = _near_uninformative(rng)
+            prior = np.full(mu.n_states, 1.0 / mu.n_states)
+            assert np.all(kl_matrix(mu) >= 0.0)
+            for price in (
+                llr_cost(mu, beta),
+                llr_cost_from_distribution(llr_distribution(mu), beta),
+                llr_cost_via_posteriors(mu, beta, prior),
+                _rule_cost(mu.probs, beta),
+                mutual_information_cost(mu, prior),
+            ):
+                assert price >= 0.0
+
+    def test_mutual_information_corners(self):
+        # unclamped, the last problem's single-action corners cost
+        # -2.2e-16 lam
+        rng = Xoshiro256(2023)
+        corners = []
+        for _ in range(31):
+            problem = rand_problem(rng, rng.randint(2, 5), rng.randint(2, 5))
+            for lam in (0.1, 1.0, 10.0):
+                res = solve_mutual_information(problem, lam)
+                assert res.cost >= 0.0
+                if np.count_nonzero(res.rule.probs.max(axis=0)) == 1:
+                    corners.append(res.cost)
+        assert corners[-3:] == [0.0, 0.0, 0.0]
 
 
 class TestPosteriorRoute:

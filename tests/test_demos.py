@@ -1,4 +1,5 @@
-"""Each script in demos/ runs to completion in a fresh interpreter."""
+"""Each script in demos/ runs to completion in a fresh interpreter, with
+every RuntimeWarning (an overflow, a NonConcaveWarning) raised as an error."""
 
 import os
 import subprocess
@@ -19,6 +20,10 @@ def test_demos_are_found():
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, cwd=ROOT
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

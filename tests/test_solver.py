@@ -71,9 +71,9 @@ def _mm_gap(problem, lam, P):
 
 
 def _loop_cost(P, B):
-    """Rule cost by the per-pair loop the vectorised KL kernel replaced,
-    kept as its reference: inf as soon as a priced pair leaves the
-    support, zero-price pairs skipped."""
+    """Rule cost by a per-pair loop, the reference of the LLR-sum kernel:
+    inf as soon as a priced pair leaves the support, zero-price pairs
+    skipped."""
     Q = P[:, P.max(axis=0) > 0.0]
     total = 0.0
     for i in range(Q.shape[0]):
@@ -308,9 +308,11 @@ class TestObjective:
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
         assert finite_with_zeros >= 50, finite_with_zeros
 
-    def test_positive_rules_cost_their_kl_matrix_bit_for_bit(self):
-        # up to 12 actions: from 8 columns on, numpy's row sums round
-        # differently on a column-major copy of the rule
+    def test_positive_rules_cost_their_experiment_bit_for_bit(self):
+        # a positive rule is priced as the experiment whose signals are its
+        # actions, through the same LLR sum; the KL-matrix sum agrees to
+        # rounding.  Up to 12 actions, as from 8 columns on numpy's row sums
+        # round differently on a column-major copy of the rule
         rng = Xoshiro256(58)
         for _ in range(50):
             problem = rand_problem(rng, rng.randint(2, 5), rng.randint(2, 12))
@@ -323,8 +325,40 @@ class TestObjective:
             beta = rand_beta(rng, problem.states)
             rule = rand_rule(rng, problem.n_states, problem.n_actions)
             mu = Experiment(problem.states, problem.actions, rule.probs)
+            got = objective(problem, rule, beta)
+            assert got == -llr_cost(mu, beta)
             cost = float(np.sum(beta.dense() * kl_matrix(mu)))
-            assert objective(problem, rule, beta) == -cost
+            assert got == pytest.approx(-cost, rel=1e-13)
+
+    def test_integer_grid_rules_price_by_fft(self, monkeypatch):
+        # 300 states and 3 actions: apply runs by FFT, and must agree with
+        # the dense matrix of the same rule, which it no longer builds
+        n, m = 300, 3
+        states = StateSpace(tuple(f"s{i}" for i in range(n)), tuple(range(0, 2 * n, 2)))
+        problem = DecisionProblem(
+            states, tuple(range(m)), np.zeros((m, n)), np.full(n, 1.0 / n)
+        )
+        beta = one_dimensional_betas(states, 2.0)
+        dense = BetaMatrix(states, beta.dense())
+        rule = rand_rule(Xoshiro256(61), n, m)
+        P = rule.probs.copy()
+        P[7] = (0.0, 0.4, 0.6)  # column 0 mixes zeros with positive entries
+        want = objective(problem, rule, dense)
+        assert objective(problem, ChoiceRule(P), dense) == -math.inf
+        monkeypatch.setattr(BetaMatrix, "dense", None)
+        assert objective(problem, rule, beta) == pytest.approx(want, rel=1e-12)
+        assert objective(problem, ChoiceRule(P), beta) == -math.inf
+
+    def test_integer_grid_rules_price_above_the_dense_cap(self):
+        n = 2100
+        states = StateSpace(tuple(f"s{i}" for i in range(n)), tuple(range(n)))
+        problem = DecisionProblem(
+            states, ("a", "b"), np.zeros((2, n)), np.full(n, 1.0 / n)
+        )
+        beta = inverse_square_betas(states, 1.0)
+        rule = rand_rule(Xoshiro256(62), n, 2)
+        mu = Experiment(states, problem.actions, rule.probs)
+        assert objective(problem, rule, beta) == -llr_cost(mu, beta)
 
     def test_dimension_checks(self):
         problem = _matching_problem()
