@@ -45,6 +45,7 @@ from .experiments import (
     _floats,
     _full_support_row,
     _json_labels,
+    _nonnegative,
     _parsed,
     _posteriors,
 )
@@ -53,8 +54,9 @@ from .experiments import (
 # of the integer grids that price by FFT (_rule_apply, the crossing count)
 # and the FFT points _rule_apply transforms at once
 _DENSE_CAP = 2048
-# largest value span for which partition aggregation runs in exact integers
-_EXACT_SPAN_CAP = 2048
+# largest value span for which partition aggregation is exact, and the
+# fractional bits of its fixed-point sum (_partition_by_distance)
+_EXACT_SPAN_CAP, _FIXED_BITS = 2048, 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +150,7 @@ def _rule_grid(beta: BetaMatrix) -> np.ndarray | None:
     such as 1e19 still count; the float subtraction is exact there."""
     if beta.rule is None:
         return None
-    vals = np.asarray(beta.states.values)
+    vals = np.fromiter(beta.states.values, float, len(beta.states.values))
     ints = np.rint(vals)
     if np.all(vals == ints) and ints.max() - ints.min() + 1 <= _DENSE_CAP**2:
         return (ints - ints.min()).astype(np.int64)
@@ -224,12 +226,6 @@ def kl_matrix(mu: Experiment) -> np.ndarray:
     D = (P * L).sum(axis=1)[:, None] - P @ L.T  # (P @ L.T)_ij = sum_s P_is ln P_js
     np.fill_diagonal(D, 0.0)
     return np.maximum(D, 0.0, out=D)
-
-
-def _nonnegative(cost: float) -> float:
-    """cost clamped at 0, which can only shrink the rounding error of a sum
-    of divergences; NaN and inf pass unchanged."""
-    return 0.0 if cost < 0.0 else cost
 
 
 def _rule_cost(P: np.ndarray, beta: BetaMatrix) -> float:
@@ -404,9 +400,11 @@ def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
     2048**2 points, the crossing pairs are counted by value distance with
     one FFT cross-correlation, so the cost grows with the span of the values
     rather than with the number of pairs, and no dense matrix is built.  On
-    spans up to 2048 the weighted sum runs in exact integer arithmetic, so
-    it agrees bit for bit with naive enumeration.  Wider spans take the
-    dense sum, which holds at most 2048 states.
+    spans up to 2048 the weighted sum agrees bit for bit with exact
+    enumeration: a 200-bit fixed-point sum brackets it, and the double both
+    ends round to is returned; when they round apart it is summed exactly
+    over lcm(1..span)^2.  Wider spans take the dense sum, which holds at
+    most 2048 states.
     """
     if beta.states != h.states:
         raise StateSpaceMismatch("hypothesis and beta disagree on states")
@@ -421,7 +419,7 @@ def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
 def _member_mask(h: Hypothesis) -> np.ndarray:
     """Boolean mask over the states, True on the hypothesis' members."""
     mask = np.zeros(h.states.n, dtype=bool)
-    mask[list(h.members)] = True
+    mask[np.fromiter(h.members, np.intp, len(h.members))] = True
     return mask
 
 
@@ -451,7 +449,18 @@ def _partition_by_distance(vals: np.ndarray, member: np.ndarray, c: float) -> fl
     span = counts.size - 1
     d = np.flatnonzero(counts)
     if span <= _EXACT_SPAN_CAP:
-        # exact: scale by lcm(1..span)^2 so every 2/d^2 term is an integer
+        # 2^_FIXED_BITS sum 2 counts/d^2 is in [T, T + len(d)), each floor
+        # short by less than 1: when c times both ends rounds to one double,
+        # so does the exact sum, rounding being monotone (Ziv's test)
+        cn, cd = float(c).as_integer_ratio()
+        cd <<= _FIXED_BITS
+        T = sum(
+            (k << (_FIXED_BITS + 1)) // (dd * dd)
+            for dd, k in zip(d.tolist(), counts[d].tolist())
+        )
+        if (lo := cn * T / cd) == cn * (T + d.size) / cd:
+            return lo
+        # else exact: scale by lcm(1..span)^2 so every 2/d^2 term is an integer
         lcm2 = reduce(math.lcm, range(1, span + 1), 1) ** 2
         num = sum(
             int(counts[dd]) * (2 * lcm2 // (int(dd) * int(dd))) for dd in d

@@ -298,17 +298,23 @@ def garble(mu: Experiment, g: GarblingMatrix) -> Experiment:
     return Experiment(mu.states, tuple(range(g.shape[1])), probs)
 
 
+def _nonnegative(cost: float) -> float:
+    """cost clamped at 0, which can only shrink the rounding error of a sum
+    of divergences; NaN and inf pass unchanged."""
+    return 0.0 if cost < 0.0 else cost
+
+
 def kl_divergence(p, q) -> float:
     """Expected log-likelihood ratio sum(p * ln(p/q)), in nats.
 
     Strictly positive rows only; zero entries are outside this model class.
-    Non-negative, and zero exactly when p equals q.
+    Non-negative, clamped at 0 as _nonnegative clamps, and 0 when p equals q.
     """
     p = _floats(p, "kl first argument").ravel()
     q = _floats(q, "kl second argument", p.shape)
     _check_prob_matrix(p, "kl first argument")
     _check_prob_matrix(q, "kl second argument")
-    return float(np.dot(p, np.log(p / q)))
+    return _nonnegative(float(np.dot(p, np.log(p / q))))
 
 
 def posterior_distribution(mu: Experiment, prior) -> list[tuple[np.ndarray, float]]:

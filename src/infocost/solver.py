@@ -333,10 +333,11 @@ def solve_llr(
     tol = opts.tol
     it = 0
 
-    def gains(X, C):
-        # gradient of sum_a <C[:, a], X[:, a]> - f(X[:, a]); by Euler's
-        # identity its inner product with X is that objective itself
-        return C - _cost_gradient(X, B, Bsum)
+    def gains(X, C, axis=None):
+        # gradient G of sum_a <C[:, a], X[:, a]> - f(X[:, a]) and <G, X>,
+        # summed over `axis`: by Euler's identity that objective itself
+        G = C - _cost_gradient(X, B, Bsum)
+        return G, (G * X).sum(axis)
 
     def ascend(X, D, C, value, axis=None):
         # the first of X + D, X + D/2, ... that is positive and, the
@@ -350,8 +351,7 @@ def solve_llr(
             moved = (Y != X).any(axis)
             pos = (Y > 0.0).all(axis)
             Y = np.where(pos, Y, 1.0)
-            G = gains(Y, C)
-            v = (G * Y).sum(axis)
+            G, v = gains(Y, C, axis)
             done = ~moved | pos & (((G * D).sum(axis) >= 0.0) | (v > value))
             if done.all():
                 return Y, G, v, moved
@@ -367,8 +367,8 @@ def solve_llr(
         # once its step (zero if its Newton system is singular) no longer
         # moves y
         nonlocal it
-        G = gains(Y, C)
-        lower, upper = (G * Y).sum(axis=0), G.max(axis=0)
+        G, lower = gains(Y, C, axis=0)
+        upper = G.max(axis=0)
         live = np.arange(C.shape[1])
         y, g, c, lo = Y, G, C, lower
         keep = (lower <= tol) & (upper > tol) & (upper - lower > tol)
@@ -387,12 +387,11 @@ def solve_llr(
 
     cols = [int(np.argmax(W.sum(axis=0)))]
     X = np.ones((n, 1))
+    G, value = gains(X, W[:, cols])  # X, its gains and objective move together
     Ys = np.full((n, m), 1.0 / n)  # column b: the last maximiser of b's test
     converged = False
     while it < opts.max_iter:
         C = W[:, cols]
-        G = gains(X, C)
-        value = float(np.sum(G * X))
         k = len(cols)
         if k > n:
             # more columns than states are linearly dependent, and the
@@ -407,6 +406,7 @@ def solve_llr(
             X = np.delete(X * (1.0 - t / t[a]), a, axis=1)
             X /= X.sum(axis=1, keepdims=True)
             del cols[a]
+            G, value = gains(X, W[:, cols])
             continue
         if _residual(G) > tol:
             it += 1
@@ -419,13 +419,13 @@ def solve_llr(
             if reach[i, a] <= 1.0:
                 Z = np.delete(X + reach[i, a] * D, a, axis=1)
                 Z /= Z.sum(axis=1, keepdims=True)
-                if np.all(Z > 0.0) and np.sum(
-                    gains(Z, np.delete(C, a, axis=1)) * Z
-                ) >= value:
-                    X = Z
-                    del cols[a]
-                    continue
-            X, _, _, moved = ascend(X, D, C, value)
+                if np.all(Z > 0.0):
+                    GZ, vZ = gains(Z, np.delete(C, a, axis=1))
+                    if vZ >= value:
+                        X, G, value = Z, GZ, vZ
+                        del cols[a]
+                        continue
+            X, G, value, moved = ascend(X, D, C, value)
             if not moved:
                 break
             continue
@@ -439,7 +439,7 @@ def solve_llr(
         if lower[j] <= 0.0:
             break
         b, y = out[j], Ys[:, out[j]]
-        step, _, _, moved = ascend(
+        step, Gs, v, moved = ascend(
             np.column_stack([X, np.zeros(n)]),
             np.column_stack([-X * y[:, None], y]),
             np.column_stack([C, W[:, b]]),
@@ -447,12 +447,12 @@ def solve_llr(
         )
         if not moved:
             break
-        X = step
+        X, G, value = step, Gs, v
         cols.append(b)
 
     P = np.zeros((n, m))
     P[:, cols] = X
-    foc = _residual(gains(X, W[:, cols])[:, X.max(axis=0) > SUPPORT_EPS])
+    foc = _residual(G[:, X.max(axis=0) > SUPPORT_EPS])
     return _result(problem, P, _rule_cost(P, beta), foc, it, converged)
 
 

@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
 
 import mpmath as mp
 import numpy as np
@@ -557,8 +558,8 @@ class TestNormalCost:
             normal_cost(["x", 0.0], 1.0, beta)
 
 
-def _naive_partition_exact(states, members, c):
-    """Crossing-pair sum for beta_ij = c / (v_i - v_j)^2 in exact rationals."""
+def _naive_partition_fraction(states, members, c):
+    """Crossing-pair sum for beta_ij = c / (v_i - v_j)^2 as a Fraction."""
     vals = states.values
     total = Fraction(0)
     for i in members:
@@ -567,7 +568,19 @@ def _naive_partition_exact(states, members, c):
                 continue
             d = int(vals[i]) - int(vals[j])
             total += Fraction(2, d * d)
-    return float(Fraction(c) * total)
+    return Fraction(c) * total
+
+
+def _naive_partition_exact(states, members, c):
+    """_naive_partition_fraction correctly rounded to a float."""
+    return float(_naive_partition_fraction(states, members, c))
+
+
+def _halfway_between_floats(x: Fraction) -> bool:
+    """Whether x lies exactly midway between two adjacent floats."""
+    f = float(x)
+    g = math.nextafter(f, math.inf if x > f else -math.inf)
+    return x != f and 2 * x == Fraction(f) + Fraction(g)
 
 
 class TestPartition:
@@ -637,6 +650,51 @@ class TestPartition:
         assert partition_coefficient(beta, h) == _naive_partition_exact(
             states, h.members, 2.0
         )
+
+    @staticmethod
+    def _wide_span_corpus():
+        # sparse integer grids on 0..span, span 2..2048, both rules, integral
+        # and non-integral kappa, as (beta, hypothesis, c = beta_ij d^2)
+        rng = Xoshiro256(41)
+        for idx in range(60):
+            span = 2048 if idx == 0 else 1 + idx if idx < 10 else rng.randint(2, 2048)
+            n = rng.randint(2, min(span + 1, 40))
+            vals = sorted({0, span} | {rng.randint(0, span) for _ in range(n - 2)})
+            states = StateSpace(tuple(map(str, vals)), vals)
+            members = frozenset(i for i in range(len(vals)) if rng.uniform() < 0.5)
+            members = members if 0 < len(members) < len(vals) else frozenset({0})
+            kappa = float(rng.randint(1, 5)) if idx % 2 else rng.uniform_in(0.1, 3.0)
+            rule = (inverse_square_betas, one_dimensional_betas)[idx % 4 // 2]
+            n = len(vals)
+            c = kappa if rule is inverse_square_betas else kappa / (n * (n - 1))
+            yield rule(states, kappa), Hypothesis(states, members), c
+
+    def _lcm_sums(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(costs, "reduce", lambda *a: calls.append(1) or reduce(*a))
+        return calls
+
+    def test_fixed_point_sum_is_bit_exact(self, monkeypatch):
+        # the fixed-point bounds decide every sum but one exactly halfway
+        # between two floats, which no bound short of the exact value can
+        # round; the lcm sum decides that one (values 0, 3, 4 in the corpus)
+        lcm_sums = self._lcm_sums(monkeypatch)
+        for beta, h, c in self._wide_span_corpus():
+            exact = _naive_partition_fraction(h.states, h.members, c)
+            before = len(lcm_sums)
+            assert partition_coefficient(beta, h) == float(exact)
+            assert (len(lcm_sums) > before) == _halfway_between_floats(exact)
+        assert len(lcm_sums) == 1
+
+    def test_lcm_fallback_is_bit_exact(self, monkeypatch):
+        # with 2 fractional bits the two ends of the fixed-point bound round
+        # apart, and the exact sum over lcm(1..span)^2 decides
+        monkeypatch.setattr(costs, "_FIXED_BITS", 2)
+        lcm_sums = self._lcm_sums(monkeypatch)
+        for beta, h, c in self._wide_span_corpus():
+            want = _naive_partition_exact(h.states, h.members, c)
+            assert partition_coefficient(beta, h) == want
+        assert len(lcm_sums) > 50
 
     def test_one_dimensional_rule_carries_normalization(self):
         states = _grid_states(10)

@@ -51,7 +51,7 @@ from infocost.errors import (
     ValidationError,
     ZeroProbabilityOnSupport,
 )
-from infocost.solver import _cost_hessian, _support_step, _test_steps
+from infocost.solver import _cost_gradient, _cost_hessian, _support_step, _test_steps
 
 
 def _matching_problem(payoff=1.0):
@@ -600,6 +600,27 @@ class TestSolveLLR:
         assert np.count_nonzero(res.rule.probs.max(axis=0)) == 6
         assert res.objective == pytest.approx(-0.0339835769289294, abs=1e-12)
         assert sum(columns) < 1000
+
+    def test_interior_grid_prices_each_point_once(self, monkeypatch):
+        # 15 states, 10 actions at kappa = 1e-3, 8 of them used: the gains
+        # of the point each step accepts carry on to the next pass and to
+        # the final residual, which took the solve from 312 gradient
+        # evaluations to 234
+        calls = []
+        gradient = _cost_gradient
+
+        def counted(*args):
+            calls.append(1)
+            return gradient(*args)
+
+        monkeypatch.setattr("infocost.solver._cost_gradient", counted)
+        problem = _quadratic_grid(np.linspace(0.0, 1.0, 15), 10)
+        res = solve_llr(problem, one_dimensional_betas(problem.states, 1e-3))
+        assert res.converged
+        assert np.count_nonzero(res.rule.probs.max(axis=0)) == 8
+        assert res.objective == pytest.approx(-0.03427203255723822, abs=1e-12)
+        assert res.iterations == 152
+        assert len(calls) < 260
 
     def test_low_price_integer_grid_converges(self):
         # 40 states on 0..39, 16 actions at kappa = 0.01: the prices are
