@@ -601,7 +601,7 @@ class TestSolveLLR:
         assert res.objective == pytest.approx(-0.0339835769289294, abs=1e-12)
         assert sum(columns) < 1000
 
-    def test_interior_grid_prices_each_point_once(self, monkeypatch):
+    def test_interior_grid_evaluates_each_gradient_once(self, monkeypatch):
         # 15 states, 10 actions at kappa = 1e-3, 8 of them used: the gains
         # of the point each step accepts carry on to the next pass and to
         # the final residual, which took the solve from 312 gradient
