@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, Sequence
 
@@ -285,8 +284,8 @@ def binary_cost(p: float, beta: BetaMatrix) -> float:
     if beta.n != 2:
         raise DimensionMismatch("binary_cost needs a 2-state beta")
     p = _real(p, "p", 0.0, 1.0, POutOfRange)
-    b = partition_coefficient(beta, Hypothesis(beta.states, {0}))  # b01 + b10
-    return b * _flip_divergence(p)
+    # b01 + b10 is the partition coefficient of {0}
+    return hypothesis_test_cost(beta, Hypothesis(beta.states, {0}), p)
 
 
 def _flip_divergence(x: float) -> float:
@@ -403,8 +402,9 @@ def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
     spans up to 2048 the weighted sum agrees bit for bit with exact
     enumeration: a 200-bit fixed-point sum brackets it, and the double both
     ends round to is returned; when they round apart it is summed exactly
-    over lcm(1..span)^2.  Wider spans take the dense sum, which holds at
-    most 2048 states.
+    over lcm(1..span)^2.  Wider spans sum the counts in floating point;
+    matrix betas and other grids take the dense sum, which holds at most
+    2048 states.  A coefficient beyond the double range is inf.
     """
     if beta.states != h.states:
         raise StateSpaceMismatch("hypothesis and beta disagree on states")
@@ -453,26 +453,38 @@ def _partition_by_distance(vals: np.ndarray, member: np.ndarray, c: float) -> fl
         # short by less than 1: when c times both ends rounds to one double,
         # so does the exact sum, rounding being monotone (Ziv's test)
         cn, cd = float(c).as_integer_ratio()
-        cd <<= _FIXED_BITS
         T = sum(
             (k << (_FIXED_BITS + 1)) // (dd * dd)
             for dd, k in zip(d.tolist(), counts[d].tolist())
         )
-        if (lo := cn * T / cd) == cn * (T + d.size) / cd:
+        lo, hi = (_quotient(cn * t, cd << _FIXED_BITS) for t in (T, T + d.size))
+        if lo == hi:
             return lo
         # else exact: scale by lcm(1..span)^2 so every 2/d^2 term is an integer
         lcm2 = reduce(math.lcm, range(1, span + 1), 1) ** 2
         num = sum(
             int(counts[dd]) * (2 * lcm2 // (int(dd) * int(dd))) for dd in d
         )
-        return float(Fraction(c) * Fraction(num, lcm2))
-    return float(2.0 * c * np.sum(counts[d] / (d.astype(float) ** 2)))
+        return _quotient(cn * num, cd * lcm2)
+    # Python floats: a product past the double range is inf, without a warning
+    return 2.0 * c * float(np.sum(counts[d] / (d.astype(float) ** 2)))
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den correctly rounded, as int / int is; inf beyond the double
+    range, where int / int raises OverflowError."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
 def hypothesis_test_cost(beta: BetaMatrix, h: Hypothesis, alpha: float) -> float:
     """Cost of the two-signal test that reports membership with accuracy alpha."""
     alpha = _real(alpha, "alpha", 0.0, 1.0, AlphaOutOfRange)
-    return partition_coefficient(beta, h) * _flip_divergence(alpha)
+    # an uninformative test costs 0, also where the coefficient is inf
+    kl = _flip_divergence(alpha)
+    return partition_coefficient(beta, h) * kl if kl else 0.0
 
 
 def partition_experiment(h: Hypothesis, alpha: float) -> Experiment:

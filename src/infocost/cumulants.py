@@ -83,68 +83,43 @@ def _plan(n: int, order: int) -> _Plan:
     """The box {0..order}^n minus zero in lexicographic order, and the
     recursion's terms grouped by total degree, from grade 2 up.
 
-    Per grade: the box positions `tgt` of its alphas, and (T, len(tgt))
-    arrays B, R, C whose column i holds alpha i's terms (positions of beta
-    and alpha - beta, coefficient) with beta != alpha, beta ascending.  Row
-    0 and the padding below each column point at slot len(box), which holds
-    0.0, with C = 0: every sum starts from +0.0 as Python's `sum` does, and
-    a padded term is exactly 0.0 even when a value has overflowed.
+    The terms are the pairs beta <= alpha, listed alpha first and then beta
+    ascending, with beta != alpha and beta_d >= 1 for alpha's last non-zero
+    coordinate d.  Per grade: the box positions `tgt` of its alphas, and
+    (T, len(tgt)) arrays B, R, C whose column i holds alpha i's terms
+    (positions of beta and alpha - beta, coefficient).  Row 0 and the
+    padding below each column point at slot len(box), which holds 0.0, with
+    C = 0: every sum starts from +0.0 as Python's `sum` does, and a padded
+    term is exactly 0.0 even when a value has overflowed.
     """
     side = order + 1
-    grid = np.indices((side,) * n).reshape(n, -1).T
-    grade = grid.sum(axis=1)
-    box = tuple(map(tuple, grid[1:].tolist()))
-    # a, b: grid rows of alpha and beta; grid row r is box position r - 1
-    a, b, c = _terms(n, order)
-    # row of each term in its alpha's column, below the sentinel row 0
-    idx = np.arange(a.size)
-    first = np.r_[True, a[1:] != a[:-1]]
-    rank = idx - np.maximum.accumulate(np.where(first, idx, 0)) + 1
-    counts = np.bincount(a, minlength=grid.shape[0])
-    col = np.empty(grid.shape[0], dtype=np.intp)
+    # column r of grid is the index at grid row r, box position r - 1; r is
+    # linear in the index, so alpha - beta is at row a - b.  int16 keeps the
+    # (n, pairs) arrays below small: a first build pays for every page touched
+    grid = np.indices((side,) * n, np.int16).reshape(n, -1)
+    grade = grid.sum(axis=0)
+    box = tuple(map(tuple, grid[:, 1:].T.tolist()))
+    a, b = np.nonzero((grid[:, :, None] >= grid[:, None]).all(axis=0))
+    d = n - 1 - np.argmax(grid[::-1] > 0, axis=0)
+    keep = (a != b) & (grid[d[a], b] >= 1)
+    a, b = a[keep], b[keep]
+    # prod_j C(alpha_j - [j=d], beta_j - [j=d]), with comb[i * side + j] = C(i, j)
+    unit = np.arange(n)[:, None] == d[a]
+    comb = np.array([math.comb(i, j) for i in range(side) for j in range(side)], float)
+    c = comb[(grid[:, a] - unit) * side + grid[:, b] - unit].prod(axis=0)
+    grade_a = grade[a]
     grades = []
     for g in range(2, n * order + 1):
         rows = np.flatnonzero(grade == g)
-        col[rows] = np.arange(rows.size)
-        sel = grade[a] == g
-        at = (rank[sel], col[a[sel]])
-        shape = (1 + counts[rows].max(), rows.size)
-        B = np.full(shape, len(box))
-        R = np.full(shape, len(box))
-        C = np.zeros(shape)
-        B[at] = b[sel] - 1
-        R[at] = a[sel] - b[sel] - 1
-        C[at] = c[sel]
+        sel = grade_a == g
+        ga, gb = a[sel], b[sel]
+        # each term's row below the sentinel row 0, and its column
+        at = (np.arange(ga.size) - np.searchsorted(ga, ga) + 1, np.searchsorted(rows, ga))
+        B, R = np.full((2, 1 + at[0].max(), rows.size), len(box))
+        C = np.zeros(B.shape)
+        B[at], R[at], C[at] = gb - 1, ga - gb - 1, c[sel]
         grades.append((rows - 1, B, R, C))
     return _Plan(box, tuple(grades))
-
-
-def _terms(n: int, order: int):
-    """Grid rows of alpha and of beta, and the coefficient, of every
-    recursion term with beta != alpha, grouped by alpha, beta ascending.
-
-    Alpha's last non-zero coordinate d contributes C(alpha_d - 1, beta_d - 1)
-    and every other coordinate C(alpha_j, beta_j); beta_j = alpha_j = 0
-    after d.  Over the alphas sharing d, the coefficients on coordinates
-    0..d form a Kronecker product of these binomial tables, zero exactly
-    where some beta_j > alpha_j or beta_d = 0.
-    """
-    side = order + 1
-    comb = np.array([[math.comb(i, j) for j in range(side)] for i in range(side)], float)
-    shifted = np.zeros_like(comb)
-    shifted[1:, 1:] = comb[:-1, :-1]
-    parts = []
-    for d in range(n):
-        K = shifted[1:]
-        for _ in range(d):
-            K = np.kron(comb, K)
-        ka, kb = np.nonzero(K)
-        step = side ** (n - 1 - d)
-        a = (ka // order * side + ka % order + 1) * step
-        b = kb * step
-        keep = a != b
-        parts.append((a[keep], b[keep], K[ka, kb][keep]))
-    return [np.concatenate(x) for x in zip(*parts)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -696,6 +696,30 @@ class TestPartition:
             assert partition_coefficient(beta, h) == want
         assert len(lcm_sums) > 50
 
+    @pytest.mark.parametrize(
+        "vals, fixed_bits, lcm",
+        [(range(50), 200, 0), (range(50), 2, 1), ((*range(49), 4999), 200, 0)],
+        ids=["fixed-point", "lcm", "wide-span"],
+    )
+    def test_sum_beyond_the_double_range_is_inf(self, vals, fixed_bits, lcm, monkeypatch):
+        # 3e307 times a crossing sum of about 8.2 is past the double range
+        # on each route: the fixed-point bounds, the exact lcm sum (2 bits
+        # leave the lower bound 5.0 in range), and the floating-point sum of
+        # a span above 2,048
+        monkeypatch.setattr(costs, "_FIXED_BITS", fixed_bits)
+        lcm_sums = self._lcm_sums(monkeypatch)
+        vals = tuple(vals)
+        states = StateSpace(tuple(map(str, vals)), vals)
+        beta = inverse_square_betas(states, 3e307)
+        h = Hypothesis(states, frozenset(range(25)))
+        assert partition_coefficient(beta, h) == math.inf
+        assert hypothesis_test_cost(beta, h, 0.9) == math.inf
+        assert hypothesis_test_cost(beta, h, 0.5) == 0.0
+        assert len(lcm_sums) == 2 * lcm
+        two = StateSpace(("a", "b"), (0, 1))
+        assert binary_cost(0.9, inverse_square_betas(two, 1e308)) == math.inf
+        assert binary_cost(0.5, inverse_square_betas(two, 1e308)) == 0.0
+
     def test_one_dimensional_rule_carries_normalization(self):
         states = _grid_states(10)
         h = Hypothesis(states, frozenset(range(5)))

@@ -480,7 +480,7 @@ class TestScalarReference:
     """Same bits as the per-index loops, sums taken left to right."""
 
     @pytest.mark.parametrize(
-        "dim, order", [(d, o) for d in (1, 2, 3, 4) for o in (2, 3, 4)]
+        "dim, order", [(d, o) for d in (1, 2, 3, 4) for o in (1, 2, 3, 4)]
     )
     def test_kernels_match_scalar_loops(self, dim, order, monkeypatch):
         rng = np.random.default_rng([dim, order])
@@ -514,6 +514,29 @@ class TestScalarReference:
         assert _bits(got.values) == _bits(
             _scalar_cumulants_to_moments(kv, dim, order)
         )
+
+    @pytest.mark.parametrize(
+        "dim, order", [(d, o) for d in (1, 2, 3, 4) for o in (1, 2, 3, 4)]
+    )
+    def test_plan_lists_the_scalar_terms(self, dim, order):
+        # each column holds its alpha's terms in the scalar loop's order
+        # between padding rows: random values can miss a reordered term,
+        # this list cannot
+        plan = CUMULANTS._plan(dim, order)
+        box, pad = plan.box, len(plan.box)
+        columns = []
+        for tgt, B, R, C in plan.grades:
+            for i, pos in enumerate(tgt.tolist()):
+                want = list(_scalar_terms(box[pos]))
+                k = len(want)
+                got = zip(B[1 : k + 1, i], R[1 : k + 1, i], C[1 : k + 1, i])
+                assert [(box[b], box[r], c) for b, r, c in got] == want
+                padding = np.r_[0, k + 1 : B.shape[0]]
+                assert (B[padding, i] == pad).all() and (R[padding, i] == pad).all()
+                assert (C[padding, i] == 0.0).all()
+                columns.append(pos)
+        # one column for every alpha of grade 2 and above, none for grade 1
+        assert sorted(columns) == [p for p, a in enumerate(box) if sum(a) >= 2]
 
     def test_moments_of_more_atoms_than_one_block(self):
         # 2,000 atoms at 625 grid rows exceed the block, so the table is
