@@ -7,18 +7,12 @@ trial): it runs the trials in order from one generator, so a (suite, seed,
 trials) triple names one exact sequence of checks, and keeps the largest
 deviation from 0.0 up.  A NaN deviation is kept as the result, so it fails
 its bound; the command line turns any failure into a nonzero exit.
-
-`run_suite` accepts an optional `beta_hook` applied to the dense
-coefficient matrix inside the monotonicity property.  It exists as a
-fault-injection seam: corrupting the coefficients (say, a negative entry)
-must surface as a reported violation, which is how the reporting pipeline
-itself gets tested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -33,12 +27,7 @@ from .cumulants import (
     moments_to_cumulants,
     multi_indices,
 )
-from .costs import (
-    BetaMatrix,
-    kl_matrix,
-    llr_cost,
-    llr_cost_via_posteriors,
-)
+from .costs import BetaMatrix, llr_cost, llr_cost_via_posteriors
 from .errors import ValidationError, _integer
 from .experiments import (
     Experiment,
@@ -116,7 +105,7 @@ def _rand_distribution(
     return finite_distribution(pts, _rand_rows(rng, 1, k, floor)[0])
 
 
-def _product_additivity(rng: Xoshiro256, hook) -> Iterator[float]:
+def _product_additivity(rng: Xoshiro256) -> Iterator[float]:
     states = _rand_states(rng, rng.randint(2, 4))
     mu = _rand_experiment(rng, states)
     nu = _rand_experiment(rng, states)
@@ -126,7 +115,7 @@ def _product_additivity(rng: Xoshiro256, hook) -> Iterator[float]:
     yield abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def _dilution_linearity(rng: Xoshiro256, hook) -> Iterator[float]:
+def _dilution_linearity(rng: Xoshiro256) -> Iterator[float]:
     states = _rand_states(rng, rng.randint(2, 4))
     mu = _rand_experiment(rng, states)
     beta = _rand_beta(rng, states)
@@ -136,20 +125,17 @@ def _dilution_linearity(rng: Xoshiro256, hook) -> Iterator[float]:
     yield abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def _blackwell_monotonicity(rng: Xoshiro256, hook) -> Iterator[float]:
+def _blackwell_monotonicity(rng: Xoshiro256) -> Iterator[float]:
     states = _rand_states(rng, rng.randint(2, 4))
     mu = _rand_experiment(rng, states)
     beta = _rand_beta(rng, states)
-    coef = beta.dense()
-    if hook is not None:
-        coef = hook(np.array(coef, copy=True))
     g = _rand_garbling(rng, mu.n_signals, rng.randint(2, mu.n_signals + 1))
-    base = float(np.sum(coef * kl_matrix(mu)))
-    garbled = float(np.sum(coef * kl_matrix(garble(mu, g))))
+    base = llr_cost(mu, beta)
+    garbled = llr_cost(garble(mu, g), beta)
     yield (garbled - base) / (1.0 + abs(base))
 
 
-def _column_split_invariance(rng: Xoshiro256, hook) -> Iterator[float]:
+def _column_split_invariance(rng: Xoshiro256) -> Iterator[float]:
     # splitting one signal into two with state-independent proportions is a
     # garbling with a garbled inverse, so the cost must be unchanged
     states = _rand_states(rng, rng.randint(2, 4))
@@ -157,18 +143,13 @@ def _column_split_invariance(rng: Xoshiro256, hook) -> Iterator[float]:
     beta = _rand_beta(rng, states)
     j = rng.randint(0, mu.n_signals - 1)
     t = rng.uniform_in(0.05, 0.95)
-    split = np.zeros((mu.n_signals, mu.n_signals + 1))
-    for s in range(mu.n_signals):
-        if s == j:
-            split[s, j] = t
-            split[s, mu.n_signals] = 1.0 - t
-        else:
-            split[s, s] = 1.0
+    split = np.eye(mu.n_signals, mu.n_signals + 1)
+    split[j, j], split[j, -1] = t, 1.0 - t
     nu = garble(mu, GarblingMatrix(split))
     yield abs(llr_cost(nu, beta) - llr_cost(mu, beta))
 
 
-def _posterior_representation(rng: Xoshiro256, hook) -> Iterator[float]:
+def _posterior_representation(rng: Xoshiro256) -> Iterator[float]:
     states = _rand_states(rng, rng.randint(2, 4))
     mu = _rand_experiment(rng, states)
     beta = _rand_beta(rng, states)
@@ -178,7 +159,7 @@ def _posterior_representation(rng: Xoshiro256, hook) -> Iterator[float]:
     yield abs(direct - bayes) / (1.0 + abs(direct))
 
 
-def _garbling_dominance(rng: Xoshiro256, hook) -> Iterator[float]:
+def _garbling_dominance(rng: Xoshiro256) -> Iterator[float]:
     # garbling can never increase informativeness, so dominance must hold
     states = _rand_states(rng, rng.randint(2, 3))
     mu = _rand_experiment(rng, states, max_signals=4)
@@ -187,7 +168,7 @@ def _garbling_dominance(rng: Xoshiro256, hook) -> Iterator[float]:
     yield 0.0 if blackwell_dominates(mu, nu) else 1.0
 
 
-def _cumulant_additivity(rng: Xoshiro256, hook) -> Iterator[float]:
+def _cumulant_additivity(rng: Xoshiro256) -> Iterator[float]:
     dim = rng.randint(1, 2)
     a = _rand_distribution(rng, dim)
     b = _rand_distribution(rng, dim)
@@ -199,7 +180,7 @@ def _cumulant_additivity(rng: Xoshiro256, hook) -> Iterator[float]:
         yield dev / (1.0 + abs(ka[alpha] + kb[alpha]))
 
 
-def _moment_round_trip(rng: Xoshiro256, hook) -> Iterator[float]:
+def _moment_round_trip(rng: Xoshiro256) -> Iterator[float]:
     dim = rng.randint(1, 2)
     d = _rand_distribution(rng, dim)
     m = moments(d, 3)
@@ -208,7 +189,7 @@ def _moment_round_trip(rng: Xoshiro256, hook) -> Iterator[float]:
         yield abs(back[alpha] - m[alpha])
 
 
-def _self_convolution_scaling(rng: Xoshiro256, hook) -> Iterator[float]:
+def _self_convolution_scaling(rng: Xoshiro256) -> Iterator[float]:
     d = _rand_distribution(rng, 1)
     k = rng.randint(2, 4)
     acc = d
@@ -221,7 +202,7 @@ def _self_convolution_scaling(rng: Xoshiro256, hook) -> Iterator[float]:
         yield dev / (1.0 + abs(k * k1[alpha]))
 
 
-def _llr_moment_consistency(rng: Xoshiro256, hook) -> Iterator[float]:
+def _llr_moment_consistency(rng: Xoshiro256) -> Iterator[float]:
     # moments of the log-likelihood-ratio vector under state i, computed
     # from the merged distribution, must match direct signal-space sums
     states = _rand_states(rng, rng.randint(2, 4))
@@ -257,12 +238,7 @@ _APPENDIX = (
 )
 
 
-def run_suite(
-    suite: str,
-    seed: int = 0,
-    trials: int = 200,
-    beta_hook: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[PropertyResult]:
+def run_suite(suite: str, seed: int = 0, trials: int = 200) -> list[PropertyResult]:
     """Run the named property suite deterministically.
 
     suite is one of "axioms", "appendix", "all".  The same (suite, seed,
@@ -283,7 +259,7 @@ def run_suite(
         n = trials if cap is None else min(trials, cap)
         worst = 0.0
         for _ in range(n):
-            for dev in trial(rng, beta_hook):
+            for dev in trial(rng):
                 if dev > worst or dev != dev:  # a NaN, once seen, stays
                     worst = dev
         results.append(PropertyResult(name, n, worst, bound))

@@ -68,9 +68,10 @@ class BetaMatrix:
     fresh read-only one on each call, for at most _DENSE_CAP states.  Every
     price goes through apply(X) = B @ X: on integer grids whose values span
     at most _DENSE_CAP**2 points it runs by FFT (_rule_apply) whenever that
-    takes no more points than the matrix has entries, at any size, so the
-    prices and partition coefficients work on grids far too large to
-    materialize.  Rules come from the constructors below.
+    takes no more points than the matrix has entries (above _DENSE_CAP
+    states, per column), at any size, so the prices and partition
+    coefficients work on grids far too large to materialize.  Rules come
+    from the constructors below.
     """
 
     states: StateSpace
@@ -119,7 +120,8 @@ class BetaMatrix:
         coef = v[:, None] - v[None, :]
         np.fill_diagonal(coef, 1.0)  # placeholder, diagonal zeroed below
         coef **= 2
-        np.divide(_rule_scale(self.rule, self.n), coef, out=coef)
+        with np.errstate(over="ignore"):  # an entry past the range is refused
+            np.divide(_rule_scale(self.rule, self.n), coef, out=coef)
         if not np.isfinite(coef).all():
             raise ValidationError("non-finite off-diagonal coefficient")
         np.fill_diagonal(coef, 0.0)
@@ -129,9 +131,12 @@ class BetaMatrix:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """B @ X for an (n, k) matrix X: by FFT for a rule on an integer grid
         (_rule_grid) whose k columns take no more FFT points than B has
-        entries, else by dense(), which refuses a rule above _DENSE_CAP."""
+        entries, else by dense(), which refuses a rule above _DENSE_CAP.
+        Above the cap only one column's points count: dense() is no
+        alternative there, and _rule_apply bounds its memory in blocks."""
         vals = _rule_grid(self) if self.coef is None else None
-        if vals is not None and _fft_size(int(vals.max())) * X.shape[1] <= self.n**2:
+        k = X.shape[1] if self.n <= _DENSE_CAP else 1
+        if vals is not None and _fft_size(int(vals.max())) * k <= self.n**2:
             return _rule_apply(self, vals, X)
         return self.dense() @ X
 
@@ -481,11 +486,25 @@ def _quotient(num: int, den: int) -> float:
 
 
 def hypothesis_test_cost(beta: BetaMatrix, h: Hypothesis, alpha: float) -> float:
-    """Cost of the two-signal test that reports membership with accuracy alpha."""
+    """Cost of the two-signal test that reports membership with accuracy alpha.
+
+    A coefficient past the double range is priced again with every price
+    scaled by 2^-64, which commutes with rounding, and the product scaled
+    back, so a finite cost stays finite; beyond the range it is inf."""
     alpha = _real(alpha, "alpha", 0.0, 1.0, AlphaOutOfRange)
     # an uninformative test costs 0, also where the coefficient is inf
     kl = _flip_divergence(alpha)
-    return partition_coefficient(beta, h) * kl if kl else 0.0
+    if not kl:
+        return 0.0
+    coef = partition_coefficient(beta, h)
+    if coef < math.inf:
+        return coef * kl
+    if beta.rule is None:
+        small = BetaMatrix(beta.states, beta.coef * 2.0**-64)
+    else:
+        small = BetaMatrix(beta.states, None, (beta.rule[0], beta.rule[1] * 2.0**-64))
+    # a product, not math.ldexp, which raises where the cost passes the range
+    return partition_coefficient(small, h) * kl * 2.0**64
 
 
 def partition_experiment(h: Hypothesis, alpha: float) -> Experiment:

@@ -367,7 +367,7 @@ class TestCheck:
             assert "trials=" in line and "bound=" in line
 
     def test_violations_exit_1(self, monkeypatch, capsys):
-        def fake_suite(suite, seed=0, trials=200, beta_hook=None):
+        def fake_suite(suite, seed=0, trials=200):
             return [PropertyResult("rigged", trials, 1.0, 1e-10)]
 
         monkeypatch.setattr("infocost.checks.run_suite", fake_suite)

@@ -52,7 +52,14 @@ from infocost import (
     verification_asymmetry,
 )
 from infocost import costs
-from infocost.costs import _crossing_counts, _flip_divergence, _rule_apply, _rule_cost, _rule_grid
+from infocost.costs import (
+    _crossing_counts,
+    _flip_divergence,
+    _llr_sum,
+    _rule_apply,
+    _rule_cost,
+    _rule_grid,
+)
 from infocost.reproduce import gdp_rows
 from infocost.errors import (
     AlphaOutOfRange,
@@ -705,7 +712,8 @@ class TestPartition:
         # 3e307 times a crossing sum of about 8.2 is past the double range
         # on each route: the fixed-point bounds, the exact lcm sum (2 bits
         # leave the lower bound 5.0 in range), and the floating-point sum of
-        # a span above 2,048
+        # a span above 2,048; hypothesis_test_cost prices the inf
+        # coefficient again at 2^-64 of its prices, so it sums twice
         monkeypatch.setattr(costs, "_FIXED_BITS", fixed_bits)
         lcm_sums = self._lcm_sums(monkeypatch)
         vals = tuple(vals)
@@ -715,7 +723,7 @@ class TestPartition:
         assert partition_coefficient(beta, h) == math.inf
         assert hypothesis_test_cost(beta, h, 0.9) == math.inf
         assert hypothesis_test_cost(beta, h, 0.5) == 0.0
-        assert len(lcm_sums) == 2 * lcm
+        assert len(lcm_sums) == 3 * lcm
         two = StateSpace(("a", "b"), (0, 1))
         assert binary_cost(0.9, inverse_square_betas(two, 1e308)) == math.inf
         assert binary_cost(0.5, inverse_square_betas(two, 1e308)) == 0.0
@@ -727,6 +735,41 @@ class TestPartition:
         assert partition_coefficient(
             inverse_square_betas(grid, 1.7e308), Hypothesis(grid, {0})
         ) == math.inf
+
+    @pytest.mark.parametrize(
+        "beta, members, alpha",
+        [
+            (inverse_square_betas(StateSpace(("a", "b"), (0, 1)), 1e308), {0}, 0.5 + 1e-10),
+            (inverse_square_betas(_grid_states(10), 1e308), set(range(5)), 0.5 + 1e-6),
+            (constant_betas(StateSpace(("a", "b", "c")), 1e308), {0}, 0.5 + 1e-9),
+        ],
+        ids=["two-state", "integer-grid", "matrix"],
+    )
+    def test_finite_cost_of_a_coefficient_past_the_double_range(self, beta, members, alpha):
+        # the coefficient is inf, but the test's cost is not
+        h = Hypothesis(beta.states, frozenset(members))
+        assert partition_coefficient(beta, h) == math.inf
+        with mp.workdps(50):
+            c = mp.mpf(beta.rule[1]) if beta.rule else None
+            v = beta.states.values
+            pairs = sum(
+                c / (mp.mpf(v[i]) - v[j]) ** 2 if c else mp.mpf(beta.dense()[i, j])
+                for i in range(beta.n)
+                for j in range(beta.n)
+                if (i in members) != (j in members)
+            )
+            a = mp.mpf(alpha)
+            want = float(pairs * (2 * a - 1) * mp.log(a / (1 - a)))
+        assert hypothesis_test_cost(beta, h, alpha) == pytest.approx(want, rel=1e-12)
+        if beta.n == 2:
+            assert binary_cost(alpha, beta) == pytest.approx(1.6000002647691982e289, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rule_entries_past_the_double_range_refuse_without_a_warning(self):
+        states = StateSpace(("a", "b", "c"), (0, 0.5, 1.5))
+        beta = inverse_square_betas(states, 1e308)
+        with pytest.raises(ValidationError, match="non-finite"):
+            partition_coefficient(beta, Hypothesis(states, {0}))
 
     def test_one_dimensional_rule_carries_normalization(self):
         states = _grid_states(10)
@@ -946,6 +989,24 @@ class TestPartition:
         assert llr_cost_via_posteriors(mu, beta, prior) == pytest.approx(
             cost, rel=1e-9
         )
+
+    def test_rule_prices_above_the_cap_take_any_number_of_signals(self):
+        # 541 columns of 8,192 FFT points outnumber the 2,100^2 entries, but
+        # above the cap there is no dense matrix to take instead, and the
+        # FFT runs its columns in blocks; the sum is additive over columns,
+        # so the two halves, each priced on its own, give the reference
+        n, m = 2100, 540
+        beta = inverse_square_betas(_grid_states(n), 1.0)
+        rng = np.random.default_rng(2100)
+        P = rng.uniform(0.05, 1.0, (n, m))
+        P /= P.sum(axis=1, keepdims=True)
+        want = 0.0
+        for W in (P[:, : m // 2], P[:, m // 2 :]):
+            X = np.empty((n, W.shape[1] + 1))
+            np.log(W / W[0], out=X[:, 1:])
+            want += _llr_sum(beta, W, X)
+        got = llr_cost(Experiment(beta.states, tuple(range(m)), P), beta)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_gdp_scale_counts_match_closed_forms(self):
         # crossing counts on the 60,001-state income grid, threshold and

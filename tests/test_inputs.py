@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import infocost as ic
 from infocost import ValidationError
+from infocost.errors import DimensionMismatch, IncompleteInput, StateSpaceMismatch
 from infocost.cli import main
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -223,6 +224,9 @@ FD = ic.finite_distribution_from_llr(DIST, 0)
 PROBLEM_2X2 = ic.problem_from_json(PROBLEM)
 RULE = ic.ChoiceRule([[0.5, 0.5], [0.5, 0.5]])
 HALF = [0.5, 0.5]
+BETA_AB = ic.constant_betas(ic.StateSpace(("a", "b")), 1.0)
+BETA_3 = ic.constant_betas(ic.StateSpace(("a", "b", "c")), 1.0)
+MU_3 = ic.uninformative_experiment(BETA_3.states, [0.5, 0.5])
 MOMENTS = ic.moments(FD, 2).values
 
 # one call per public constructor field and scalar parameter, the pool
@@ -337,26 +341,48 @@ def test_pool_raises_only_validation_errors(surface):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, error",
     [
-        lambda: ic.perception_problem(2.7),
-        lambda: ic.lambda_count((1.7,)),
-        lambda: ic.enumerate_lambda((2.9,)),
-        lambda: ic.SolveOptions(max_iter=10**400),
-        lambda: ic.binary_cost("0.5", BETA),
-        lambda: ic.dilute(MU, "0.5"),
-        lambda: ic.normal_cost(HALF, "1", BETA),
-        lambda: ic.solve_mutual_information(PROBLEM_2X2, "1"),
-        lambda: ic.blackwell_dominates(MU, MU, 0.0),
-        lambda: ic.check_admissible(DIST, -1.0),
-        lambda: ic.Xoshiro256(2.7),
-        lambda: ic.Xoshiro256("12"),
-        lambda: ic.Xoshiro256(True),
-        lambda: ic.StateSpace(("lo", "hi"), [True, False]),
-        lambda: ic.DecisionProblem(STATES, ("a", "b"), [[True, False], [0.0, 1.0]], HALF),
-        lambda: ic.Experiment(STATES, ("h", "t"), [["0.5", "0.5"], ["0.2", "0.8"]]),
-        lambda: ic.DecisionProblem(STATES, ("a", "b"), PROBLEM["utility"], np.array(["0.5"] * 2)),
-        lambda: ic.BetaMatrix(STATES, np.array([[False, True], [True, False]])),
+        (lambda: ic.perception_problem(2.7), ValidationError),
+        (lambda: ic.lambda_count((1.7,)), ValidationError),
+        (lambda: ic.enumerate_lambda((2.9,)), ValidationError),
+        (lambda: ic.SolveOptions(max_iter=10**400), ValidationError),
+        (lambda: ic.binary_cost("0.5", BETA), ValidationError),
+        (lambda: ic.dilute(MU, "0.5"), ValidationError),
+        (lambda: ic.normal_cost(HALF, "1", BETA), ValidationError),
+        (lambda: ic.solve_mutual_information(PROBLEM_2X2, "1"), ValidationError),
+        (lambda: ic.blackwell_dominates(MU, MU, 0.0), ValidationError),
+        (lambda: ic.check_admissible(DIST, -1.0), ValidationError),
+        (lambda: ic.Xoshiro256(2.7), ValidationError),
+        (lambda: ic.Xoshiro256("12"), ValidationError),
+        (lambda: ic.Xoshiro256(True), ValidationError),
+        (lambda: ic.StateSpace(("lo", "hi"), [True, False]), ValidationError),
+        (
+            lambda: ic.DecisionProblem(STATES, ("a", "b"), [[True, False], [0.0, 1.0]], HALF),
+            ValidationError,
+        ),
+        (
+            lambda: ic.Experiment(STATES, ("h", "t"), [["0.5", "0.5"], ["0.2", "0.8"]]),
+            ValidationError,
+        ),
+        (
+            lambda: ic.DecisionProblem(
+                STATES, ("a", "b"), PROBLEM["utility"], np.array(["0.5"] * 2)
+            ),
+            ValidationError,
+        ),
+        (lambda: ic.BetaMatrix(STATES, np.array([[False, True], [True, False]])), ValidationError),
+        # inputs that disagree with each other, or are missing
+        (lambda: ic.llr_cost_from_distribution(DIST, BETA_3), DimensionMismatch),
+        (lambda: ic.binary_cost(0.8, BETA_3), DimensionMismatch),
+        (lambda: ic.llr_cost_via_posteriors(MU, BETA_AB, HALF), StateSpaceMismatch),
+        (lambda: ic.partition_coefficient(BETA_AB, ic.Hypothesis(STATES, {0})), StateSpaceMismatch),
+        (lambda: ic.beta_from_json({"states": ["lo", "hi"]}), IncompleteInput),
+        (lambda: ic.binary_experiment(0.8, BETA_3.states), DimensionMismatch),
+        (lambda: ic.LLRDistribution(DIST.atoms, DIST.weights[:1]), DimensionMismatch),
+        (lambda: ic.convolve_llr(DIST, ic.llr_distribution(MU_3)), DimensionMismatch),
+        (lambda: ic.blackwell_dominates(MU, ic.binary_experiment(0.8)), StateSpaceMismatch),
+        (lambda: ic.FiniteDistribution(np.zeros((0, 1)), []), ValidationError),
     ],
     ids=[
         "r-2.7",
@@ -377,10 +403,20 @@ def test_pool_raises_only_validation_errors(surface):
         "probs-strings",
         "prior-string-array",
         "coef-bool-array",
+        "distribution-state-count",
+        "binary-cost-3-states",
+        "posterior-route-states",
+        "partition-states",
+        "beta-json-no-coef-no-rule",
+        "binary-experiment-3-states",
+        "llr-weight-rows",
+        "convolve-state-count",
+        "dominance-states",
+        "no-atoms",
     ],
 )
-def test_values_are_refused_not_coerced(call):
-    with pytest.raises(ValidationError):
+def test_values_are_refused_not_coerced(call, error):
+    with pytest.raises(error):
         call()
 
 
