@@ -117,11 +117,18 @@ class BetaMatrix:
             )
         # c / (v_i - v_j)^2 in one n x n buffer, as it runs on every call
         v = np.asarray(self.states.values, dtype=float)
+        c = _rule_scale(self.rule, self.n)
         coef = v[:, None] - v[None, :]
         np.fill_diagonal(coef, 1.0)  # placeholder, diagonal zeroed below
-        coef **= 2
         with np.errstate(over="ignore"):  # an entry past the range is refused
-            np.divide(_rule_scale(self.rule, self.n), coef, out=coef)
+            coef **= 2
+            np.divide(c, coef, out=coef)
+            span = max(self.states.values) - min(self.states.values)
+            if math.isinf(span * span):
+                # a gap whose square passes the range divides twice
+                gap = np.abs(v[:, None] - v[None, :])
+                wide = np.isinf(gap * gap)
+                coef[wide] = c / gap[wide] / gap[wide]
         if not np.isfinite(coef).all():
             raise ValidationError("non-finite off-diagonal coefficient")
         np.fill_diagonal(coef, 0.0)

@@ -5,8 +5,8 @@ row per state.  This module provides the validated container types plus the
 operations the cost theory is built on: products (independent observation),
 dilution (observe with probability alpha), garbling (post-processing by a
 stochastic matrix), Kullback-Leibler divergence, Bayesian posteriors, the
-distribution of the log-likelihood-ratio vector, and a non-negative
-least-squares test of informativeness dominance.
+distribution of the log-likelihood-ratio vector, and a least-squares test
+of informativeness dominance.
 
 All probabilities are strictly positive by construction: entries at or below
 1e-12 are rejected, never clamped, because clamping would silently corrupt
@@ -496,6 +496,9 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     (Lawson & Hanson 1974, ch. 23).  It stops once w = A^T (b - A x) <= tol
     off the passive set, a Farkas certificate for A x = b, x >= 0 when the
     residual is nonzero, or when a step fails to reduce the residual.
+
+    blackwell_dominates calls it only for a pair that its least-squares
+    solve and witnesses leave undecided.
     """
     n = A.shape[1]
     tol = 10 * max(A.shape) * np.finfo(float).eps * np.abs(A).sum(axis=0).max()
@@ -526,24 +529,87 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise SolverFailure("non-negative least squares hit the iteration cap")
 
 
+def _slack(mu: np.ndarray, nu: np.ndarray, R: np.ndarray, tol: float) -> float:
+    """Bound on V_nu(R) - V_mu(R), as computed, for every garbling that
+    blackwell_dominates' acceptance test passes at this tol; the
+    derivation is in its docstring."""
+    n, k = mu.shape
+    m = nu.shape[1]
+    rounding = 4 * (n + k + m) * np.finfo(float).eps
+    return float(np.abs(R).max()) * (m * n + (2 * m + 1) * float(mu.sum())) * (tol + rounding)
+
+
+def _refutes(mu: np.ndarray, nu: np.ndarray, R: np.ndarray, tol: float) -> bool:
+    """Whether the decision problem R (states x actions) is worth more
+    under nu than under mu by more than _slack, so nu is no garbling of mu.
+    V_E(R) = sum_c max_u (E^T R)_cu is E's value of R."""
+    gap = (nu.T @ R).max(axis=1).sum() - (mu.T @ R).max(axis=1).sum()
+    return bool(gap > _slack(mu, nu, R, tol))
+
+
 def blackwell_dominates(
     mu: Experiment, nu: Experiment, tol: float = DOMINANCE_TOL
 ) -> bool:
-    """Whether nu is a garbling of mu, by non-negative least squares.
+    """Whether nu is a garbling of mu, by least squares.
 
     The unknown x is the k x m garbling g with row c scaled by mu's mass on
-    signal c, so every column has 1-norm 2 and rare signals fit as closely
-    as common ones.  nu is dominated when g matches nu.probs within tol.
+    signal c, so every column of the system A x = b has 1-norm 2 and rare
+    signals fit as closely as common ones.  The acceptance test normalises
+    the rows of an x >= 0 into g and passes it when g >= -tol, its rows sum
+    to 1 within tol and mu g matches nu.probs within tol: the verdict True,
+    with g as its witness.
+
+    One least-squares solve of A x = b comes first, with three outcomes:
+
+    1. x >= 0.  A feasible unconstrained minimiser is the non-negative one,
+       so the acceptance test decides at x; a False verdict there carries
+       no witness.
+    2. Some x < 0.  Two decision problems R are tried, and a False verdict
+       has the first R that _refutes as its witness: V_nu(R) - V_mu(R)
+       exceeds the slack below, with V_E(R) = sum_c max_u (E^T R)_cu.
+       - The fit block of the residual r = b - A x, as an n x m matrix.
+         At the least-squares optimum A^T r = 0, so (mu^T R)_cu does not
+         depend on u, and nu playing action u at its signal u gains at
+         least b.r = |r|^2 over mu.
+       - When A has full column rank (mu's columns are independent),
+         R = [0, -v] with mu^T v = e_c for the row c of g with the most
+         negative mass: mu's value is 0, and nu's is that mass when
+         mu g = nu.
+    3. Neither decides.  _nnls finds x >= 0 and the acceptance test
+       decides at it; a False verdict there carries no witness.
+
+    The slack.  Let g pass the acceptance test: g = g+ - g- with
+    0 <= g- <= tol, row sums 1 + d_c with |d_c| <= tol, and
+    nu = mu g + E with |E| <= tol.  Put M_c = max_u (mu^T R)_cu and
+    S = sum_ic mu_ic.  For each signal s of nu,
+    max_u (nu^T R)_su <= sum_c g+_cs M_c + tol S max|R| + tol n max|R|,
+    bounding the g- part by |(mu^T R)_cu| <= max|R| sum_i mu_ic.  Summed
+    over the m signals, sum_s g+_cs = 1 + d_c + sum_s g-_cs lies within
+    (1 + m) tol of 1, and sum_c |M_c| <= S max|R|, so
+    V_nu(R) - V_mu(R) <= tol max|R| (m n + (2m + 1) S).
+    _slack takes tol + 4 (n + k + m) eps in place of tol, the second term
+    covering the rounding of the gap and of the acceptance test.  R is
+    checked directly, so how it was found has no bearing on soundness.
     """
     if mu.states != nu.states:
         raise StateSpaceMismatch("dominance needs a common state space")
     tol = _real(tol, "tol")
-    k, m = mu.n_signals, nu.n_signals
+    n, k, m = mu.n_states, mu.n_signals, nu.n_signals
     mass = mu.probs.sum(axis=0)
     fit = np.einsum("ic,tu->itcu", mu.probs / mass, np.eye(m)).reshape(-1, k * m)
     A = np.vstack([np.repeat(np.eye(k), m, axis=1), fit])
     b = np.concatenate([mass, nu.probs.ravel()])
-    x = _nnls(A, b).reshape(k, m)
+    x, _, rank, _ = np.linalg.lstsq(A, b)
+    if x.min() < 0.0:
+        if _refutes(mu.probs, nu.probs, (b - A @ x)[k:].reshape(n, m), tol):
+            return False
+        if rank == k * m:
+            c = int(np.argmin(np.minimum(x.reshape(k, m), 0.0).sum(axis=1) / mass))
+            v = np.linalg.lstsq(mu.probs.T, np.eye(k)[c])[0]
+            if _refutes(mu.probs, nu.probs, np.column_stack([np.zeros(n), -v]), tol):
+                return False
+        x = _nnls(A, b)
+    x = x.reshape(k, m)
     rows = x.sum(axis=1, keepdims=True)
     # a row the fit leaves at zero is free: fill it uniformly
     g = np.divide(x, rows, out=np.full((k, m), 1.0 / m), where=rows > 0.0)

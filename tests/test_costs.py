@@ -771,6 +771,29 @@ class TestPartition:
         with pytest.raises(ValidationError, match="non-finite"):
             partition_coefficient(beta, Hypothesis(states, {0}))
 
+    @pytest.mark.filterwarnings("error")
+    def test_gaps_whose_square_passes_the_range_keep_their_coefficients(self):
+        # (1e160)^2 passes the double range, 1e308 / 1e320 does not
+        two = StateSpace(("a", "b"), (0, 1e160))
+        got = partition_coefficient(inverse_square_betas(two, 1e308), Hypothesis(two, {0}))
+        with mp.workdps(50):
+            want = float(2 * mp.mpf(1e308) / mp.mpf(1e160) ** 2)
+        assert got == pytest.approx(want, rel=1e-15)
+        # ordinary gaps and gaps past 1.3e154 in one grid, entry by entry
+        vals = (0.0, 1.5, 2e154, -3e155, 7e200)
+        states = StateSpace(tuple("abcde"), vals)
+        for beta, c in (
+            (inverse_square_betas(states, 3e300), mp.mpf(3e300)),
+            (one_dimensional_betas(states, 1e300), mp.mpf(1e300) / 20),
+        ):
+            coef = beta.dense()
+            with mp.workdps(50):
+                for i, vi in enumerate(vals):
+                    for j, vj in enumerate(vals):
+                        if i != j:
+                            want = float(c / (mp.mpf(vi) - mp.mpf(vj)) ** 2)
+                            assert coef[i, j] == pytest.approx(want, rel=1e-15)
+
     def test_one_dimensional_rule_carries_normalization(self):
         states = _grid_states(10)
         h = Hypothesis(states, frozenset(range(5)))

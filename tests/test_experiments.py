@@ -10,6 +10,7 @@ an exact, LP-free oracle.
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -51,7 +52,9 @@ from infocost.errors import (
     StateSpaceMismatch,
     ValidationError,
 )
-from infocost.experiments import LLR_MERGE_TOL, _merge_point_rows
+from infocost import experiments
+from infocost.checks import _rand_rows
+from infocost.experiments import DOMINANCE_TOL, LLR_MERGE_TOL, _merge_point_rows
 
 LN4 = math.log(4.0)
 
@@ -728,6 +731,137 @@ class TestBlackwellDominance:
         for _ in range(10):
             mu = rand_experiment(rng, states, rng.randint(2, 4))
             assert blackwell_dominates(mu, null)
+
+
+def _nnls_only(mu, nu, tol=DOMINANCE_TOL):
+    """The decision without the least-squares routes: _nnls on the same
+    system, then the acceptance test."""
+    k, m = mu.n_signals, nu.n_signals
+    mass = mu.probs.sum(axis=0)
+    fit = np.einsum("ic,tu->itcu", mu.probs / mass, np.eye(m)).reshape(-1, k * m)
+    A = np.vstack([np.repeat(np.eye(k), m, axis=1), fit])
+    b = np.concatenate([mass, nu.probs.ravel()])
+    x = experiments._nnls(A, b).reshape(k, m)
+    rows = x.sum(axis=1, keepdims=True)
+    g = np.divide(x, rows, out=np.full((k, m), 1.0 / m), where=rows > 0.0)
+    residual = float(np.max(np.abs(mu.probs @ g - nu.probs)))
+    row_err = float(np.max(np.abs(g.sum(axis=1) - 1.0)))
+    return residual <= tol and row_err <= tol and float(g.min()) >= -tol
+
+
+def _near_boundary_pairs():
+    """nu = (1 - eps) garble(mu) + eps random, eps log-uniform in 1e-12 to
+    1e-3, on 2-4 states and 2-5 signals; each pair in both directions."""
+    rng = Xoshiro256(2801)
+    pairs = []
+    for _ in range(150):
+        states = rand_states(rng, rng.randint(2, 4))
+        mu = rand_experiment(rng, states, rng.randint(2, 5), floor=0.05)
+        m = rng.randint(2, 5)
+        # squared draws put some garbling entries near zero
+        g = _rand_rows(rng, mu.n_signals, m, 0.0) ** 2
+        g /= g.sum(axis=1, keepdims=True)
+        eps = 10.0 ** rng.uniform_in(-12.0, -3.0)
+        probs = (1.0 - eps) * (mu.probs @ g) + eps * _rand_rows(rng, states.n, m, 0.05)
+        nu = Experiment(states, tuple(range(m)), probs)
+        pairs += [(mu, nu), (nu, mu)]
+    return pairs
+
+
+def _verdicts_and_routes(monkeypatch, pairs):
+    """blackwell_dominates on each pair, with the route that decided it:
+    the least-squares optimum, the residual witness, the garbling-row
+    witness or NNLS."""
+    log = []
+    refutes, nnls = experiments._refutes, experiments._nnls
+    monkeypatch.setattr(experiments, "_refutes", lambda *a: log.append("R") or refutes(*a))
+    monkeypatch.setattr(experiments, "_nnls", lambda *a: log.append("nnls") or nnls(*a))
+    out = []
+    for mu, nu in pairs:
+        log.clear()
+        verdict = blackwell_dominates(mu, nu)
+        route = "nnls" if "nnls" in log else ("lstsq", "residual", "row")[len(log)]
+        out.append((verdict, route))
+    return out
+
+
+def _value(probs, R):
+    return float((probs.T @ R).max(axis=1).sum())
+
+
+def _slack_excesses(monkeypatch, draws=150):
+    """V_nu(R) - V_mu(R) - _slack for pairs nu = mu g + E where g passes
+    the acceptance test at its edges: entries down to -tol, row sums off by
+    up to tol and |E| up to 3 tol / 4.  Two lists: for random problems R,
+    and for the witnesses blackwell_dominates builds for the pair."""
+    tol = DOMINANCE_TOL
+    rng = Xoshiro256(2802)
+    witnesses = []
+    refutes = experiments._refutes
+    monkeypatch.setattr(
+        experiments, "_refutes", lambda mu, nu, R, tol: witnesses.append(R) or refutes(mu, nu, R, tol)
+    )
+    excesses = ([], [])
+    for _ in range(draws):
+        states = rand_states(rng, rng.randint(2, 4))
+        mu = rand_experiment(rng, states, rng.randint(2, 4), floor=0.05)
+        k, m = mu.n_signals, rng.randint(2, 4)
+        g = _rand_rows(rng, k, m, 0.05)
+        for c in range(k):
+            if c:  # row 0 keeps every column of nu positive
+                g[c, rng.randint(0, m - 1)] = -tol * rng.uniform()
+            g[c, np.argmax(g[c])] += 1.0 + tol * rng.uniform_in(-1.0, 1.0) - g[c].sum()
+        e = np.array([[tol * rng.uniform_in(-0.125, 0.125) for _ in range(m)] for _ in range(states.n)])
+        mixed = mu.probs @ g
+        # E moves each row of nu back to sum 1 and stays within 3 tol / 4
+        E = e - ((e.sum(axis=1) + mixed.sum(axis=1) - 1.0) / m)[:, None]
+        nu = Experiment(states, tuple(range(m)), mixed + E)
+        assert float(np.max(np.abs(mu.probs @ g - nu.probs))) <= tol
+        assert float(np.max(np.abs(g.sum(axis=1) - 1.0))) <= tol
+        assert float(g.min()) >= -tol
+        witnesses.clear()
+        blackwell_dominates(mu, nu)
+        problems = [
+            np.array([[rng.uniform_in(-1.0, 1.0) for _ in range(a)] for _ in range(states.n)])
+            for a in (1, 2, 3, 4)
+        ]
+        for out, Rs in zip(excesses, (problems, witnesses)):
+            for R in Rs:
+                slack = experiments._slack(mu.probs, nu.probs, R, tol)
+                out.append(_value(nu.probs, R) - _value(mu.probs, R) - slack)
+    return excesses
+
+
+class TestDominanceRoutes:
+    """blackwell_dominates decides most pairs by one least-squares solve
+    and its witnesses, and runs NNLS only when neither decides; its verdicts
+    must be those of NNLS alone."""
+
+    def test_near_boundary_verdicts_match_nnls_on_every_route(self, monkeypatch):
+        pairs = _near_boundary_pairs()
+        want = [_nnls_only(mu, nu) for mu, nu in pairs]
+        got = _verdicts_and_routes(monkeypatch, pairs)
+        assert [verdict for verdict, _ in got] == want
+        routes = Counter(route for _, route in got)
+        assert set(routes) == {"lstsq", "residual", "row", "nnls"}, routes
+        assert min(routes.values()) >= 10, routes
+
+    def test_slack_bounds_the_gap_of_every_accepted_garbling(self, monkeypatch):
+        random, witnesses = _slack_excesses(monkeypatch)
+        assert len(witnesses) >= 100
+        assert max(random + witnesses) <= 0.0
+
+    def test_zero_slack_is_caught(self, monkeypatch):
+        # fault injection: with no slack, the witnesses refute garblings
+        # that the acceptance test passes, and the bound fails.  A negated
+        # R is no such fault: -R is a decision problem too, checked as
+        # directly, and it refutes about as many pairs as R
+        pairs = _near_boundary_pairs()
+        want = [_nnls_only(mu, nu) for mu, nu in pairs]
+        monkeypatch.setattr(experiments, "_slack", lambda *a: 0.0)
+        got = _verdicts_and_routes(monkeypatch, pairs)
+        assert [verdict for verdict, _ in got] != want
+        assert max(max(out) for out in _slack_excesses(monkeypatch)) > 0.0
 
 
 class TestJsonRoundTrip:
