@@ -118,17 +118,18 @@ class BetaMatrix:
         # c / (v_i - v_j)^2 in one n x n buffer, as it runs on every call
         v = np.asarray(self.states.values, dtype=float)
         c = _rule_scale(self.rule, self.n)
-        coef = v[:, None] - v[None, :]
-        np.fill_diagonal(coef, 1.0)  # placeholder, diagonal zeroed below
         with np.errstate(over="ignore"):  # an entry past the range is refused
+            coef = v[:, None] - v[None, :]
+            np.fill_diagonal(coef, 1.0)  # placeholder, diagonal zeroed below
             coef **= 2
             np.divide(c, coef, out=coef)
             span = max(self.states.values) - min(self.states.values)
             if math.isinf(span * span):
-                # a gap whose square passes the range divides twice
-                gap = np.abs(v[:, None] - v[None, :])
-                wide = np.isinf(gap * gap)
-                coef[wide] = c / gap[wide] / gap[wide]
+                # a gap whose square passes the range divides twice, in
+                # halves, as the gap itself may pass it
+                half = np.abs(v[:, None] / 2 - v[None, :] / 2)
+                wide = np.isinf(4 * half * half)
+                coef[wide] = c / 4 / half[wide] / half[wide]
         if not np.isfinite(coef).all():
             raise ValidationError("non-finite off-diagonal coefficient")
         np.fill_diagonal(coef, 0.0)
@@ -158,13 +159,15 @@ def _rule_grid(beta: BetaMatrix) -> np.ndarray | None:
     """A rule's state values as int64 offsets from the smallest, when they
     are integers spanning at most _DENSE_CAP**2 points, else None (also for
     a matrix beta).  Offsets, not values, so that integers beyond int64
-    such as 1e19 still count; the float subtraction is exact there."""
+    such as 1e19 still count; the float subtraction is exact there, and in
+    Python floats a span past the double range is inf without a warning."""
     if beta.rule is None:
         return None
     vals = np.fromiter(beta.states.values, float, len(beta.states.values))
     ints = np.rint(vals)
-    if np.all(vals == ints) and ints.max() - ints.min() + 1 <= _DENSE_CAP**2:
-        return (ints - ints.min()).astype(np.int64)
+    lo, hi = float(ints.min()), float(ints.max())
+    if np.all(vals == ints) and hi - lo + 1 <= _DENSE_CAP**2:
+        return (ints - lo).astype(np.int64)
     return None
 
 

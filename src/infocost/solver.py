@@ -177,10 +177,10 @@ def _cost_hessian(X: np.ndarray, B: np.ndarray, Bsum: np.ndarray) -> np.ndarray:
     only for v = x rescaled by a constant on each connected component of the
     price graph B + B' > 0."""
     n, r = X.shape
-    Xt = X.T
+    Xt = X.T.copy()  # C order, so that S and H are laid out slice by slice
     S = B / -Xt[:, None, :]
     H = S + S.transpose(0, 2, 1)  # -(B_ij / x_j + B_ji / x_i)
-    H.reshape(r, -1)[:, :: n + 1] = Bsum / Xt + (Xt @ B) / (Xt * Xt)
+    H.reshape(r, -1)[:, :: n + 1] = Bsum / Xt + (X.T @ B) / (Xt * Xt)
     return H
 
 
@@ -194,12 +194,16 @@ def _support_step(X: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray)
     null space of each H_a it is singular exactly when, on the states of some
     connected component of the price graph, the columns of X are linearly
     dependent: on a connected graph, only when the columns themselves are.
-    LinAlgError is raised when its LU factorisation meets a zero pivot."""
+    LinAlgError is raised when its LU factorisation meets a zero pivot.
+    K is written in place: H_k into every n-square block of its view as
+    (k-1, n, k-1, n), then H_1..H_k-1 added through a writeable view of the
+    diagonal blocks."""
     n, k = X.shape
     H = _cost_hessian(X, B, Bsum)
-    K = np.tile(H[-1], (k - 1, k - 1))
-    diag = np.arange(k - 1)
-    K.reshape(k - 1, n, k - 1, n)[diag, :, diag, :] += H[:-1]
+    K = np.empty(((k - 1) * n, (k - 1) * n))
+    Kb = K.reshape(k - 1, n, k - 1, n)
+    Kb[...] = H[-1][:, None, :]
+    np.einsum("anam->anm", Kb)[...] += H[:-1]
     E = np.linalg.solve(K, (G[:, :-1] - G[:, -1:]).T.ravel()).reshape(k - 1, n).T
     return np.column_stack([E, -E.sum(axis=1)])
 

@@ -794,6 +794,19 @@ class TestPartition:
                             want = float(c / (mp.mpf(vi) - mp.mpf(vj)) ** 2)
                             assert coef[i, j] == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_gaps_past_the_double_range_keep_their_coefficients(self):
+        # 1e308 - (-1e308) itself passes the double range, on the integer
+        # grid check and in the dense matrix; the true coefficient is the
+        # subnormal 2.5e-309, and the crossing sum adds it twice exactly
+        two = StateSpace(("a", "b"), (-1e308, 1e308))
+        beta = inverse_square_betas(two, 1e308)
+        with mp.workdps(50):
+            want = float(mp.mpf(1e308) / (mp.mpf(1e308) - mp.mpf(-1e308)) ** 2)
+        assert want == 2.5e-309
+        np.testing.assert_array_equal(beta.dense(), [[0.0, want], [want, 0.0]])
+        assert partition_coefficient(beta, Hypothesis(two, {0})) == 2 * want
+
     def test_one_dimensional_rule_carries_normalization(self):
         states = _grid_states(10)
         h = Hypothesis(states, frozenset(range(5)))

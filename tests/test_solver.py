@@ -687,26 +687,27 @@ class TestSolveLLR:
 def test_support_step_is_the_bordered_kkt_direction():
     # the reduced system of _support_step against the dense (nk + n)-square
     # KKT system [[blockdiag(H_1..H_k), A'], [A, 0]], A = [I ... I], that
-    # holds the row sums of the direction at zero
+    # holds the row sums of the direction at zero; asymmetric prices with
+    # one-directional zeros, and k <= n columns, as solve_llr never steps
+    # on more columns than states
     rng = np.random.default_rng(12)
-    n = 6
-    for k in range(2, 6):
-        X = rng.uniform(0.05, 1.0, size=(n, k))
-        X /= X.sum(axis=1, keepdims=True)
-        B = rng.uniform(0.01, 2.0, size=(n, n))
-        np.fill_diagonal(B, 0.0)
-        Bsum = B.sum(axis=1)
-        G = rng.normal(size=(n, k))
-        M = np.zeros((n * k + n, n * k + n))
-        for a, H in enumerate(_cost_hessian(X, B, Bsum)):
-            M[a * n : (a + 1) * n, a * n : (a + 1) * n] = H
-        A = np.tile(np.eye(n), k)
-        M[: n * k, n * k :], M[n * k :, : n * k] = A.T, A
-        rhs = np.concatenate([G.T.ravel(), np.zeros(n)])
-        want = np.linalg.solve(M, rhs)[: n * k].reshape(k, n).T
-        D = _support_step(X, G, B, Bsum)
-        assert np.max(np.abs(D - want)) <= 1e-10 * np.max(np.abs(want))
-        assert np.max(np.abs(D.sum(axis=1))) <= 1e-12
+    for n in (2, 6, 50):
+        for k in range(2, min(n, 6) + 1):
+            X = rng.uniform(0.05, 1.0, size=(n, k))
+            X /= X.sum(axis=1, keepdims=True)
+            B = _random_prices(rng, n)
+            Bsum = B.sum(axis=1)
+            G = rng.normal(size=(n, k))
+            M = np.zeros((n * k + n, n * k + n))
+            for a, H in enumerate(_cost_hessian(X, B, Bsum)):
+                M[a * n : (a + 1) * n, a * n : (a + 1) * n] = H
+            A = np.tile(np.eye(n), k)
+            M[: n * k, n * k :], M[n * k :, : n * k] = A.T, A
+            rhs = np.concatenate([G.T.ravel(), np.zeros(n)])
+            want = np.linalg.solve(M, rhs)[: n * k].reshape(k, n).T
+            D = _support_step(X, G, B, Bsum)
+            assert np.max(np.abs(D - want)) <= 1e-10 * np.max(np.abs(want))
+            assert np.max(np.abs(D.sum(axis=1))) <= 1e-12
     # states s0 and s1 alike, priced only within {s0, s1} and {s2, s3}: every
     # H_a is then a multiple of [[1, -1], [-1, 1]] on {s0, s1}, so moving
     # mass along (1, 1, 0, 0) from one action to another is free; the dyadic
@@ -717,6 +718,39 @@ def test_support_step_is_the_bordered_kkt_direction():
     X = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75], [0.75, 0.25]])
     with pytest.raises(np.linalg.LinAlgError):
         _support_step(X, np.ones((4, 2)), B, B.sum(axis=1))
+
+
+@pytest.mark.parametrize(
+    "kind, n, iterations, support, value",
+    [
+        ("perception", 10, 6, [0, 1], 0.5120443282693417),
+        ("perception", 25, 5, [0, 1], 0.5099918512407644),
+        ("perception", 50, 5, [0, 1], 0.5093550961289296),
+        ("unit", 10, 16, [4, 5], -0.10487381170798331),
+        ("unit", 25, 15, [4, 5], -0.09331332261632717),
+        ("unit", 50, 15, [4, 5], -0.08977405894849876),
+        ("integer", 40, 306, list(range(16)), -0.0020885450847702713),
+    ],
+)
+def test_support_steps_keep_each_solve(kind, n, iterations, support, value):
+    # the support step's system, however it is assembled, is the same up to
+    # rounding: each solve keeps the iteration count, support and objective
+    # of the tiled-block assembly it replaced.  Perception at r = n, kappa =
+    # 1; unit grids n x 10 at kappa = 1; the integer grid 40 x 16 at 0.01
+    if kind == "perception":
+        problem = perception_problem(n)
+        beta = inverse_square_betas(problem.states, 1.0)
+    elif kind == "unit":
+        problem = _quadratic_grid(np.linspace(0.0, 1.0, n), 10)
+        beta = one_dimensional_betas(problem.states, 1.0)
+    else:
+        problem = _quadratic_grid(np.arange(n), 16)
+        beta = one_dimensional_betas(problem.states, 0.01)
+    res = solve_llr(problem, beta)
+    assert res.converged
+    assert res.iterations == iterations
+    assert np.flatnonzero(res.rule.probs.max(axis=0)).tolist() == support
+    assert res.objective == pytest.approx(value, abs=1e-12)
 
 
 def _random_prices(rng, n):
