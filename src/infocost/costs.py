@@ -50,8 +50,8 @@ from .experiments import (
 )
 
 # largest rule-backed matrix dense() builds; its square caps the value span
-# of the integer grids that price by FFT (_rule_apply, the crossing count)
-# and the FFT points _rule_apply transforms at once
+# of the integer grids that price by FFT (_rule_apply, the crossing count,
+# both on _fft_size points) and the FFT points _rule_apply transforms at once
 _DENSE_CAP = 2048
 # largest value span for which partition aggregation is exact, and the
 # fractional bits of its fixed-point sum (_partition_by_distance)
@@ -116,14 +116,14 @@ class BetaMatrix:
                 f"{self.n} states: coefficient matrix too large to materialize"
             )
         # c / (v_i - v_j)^2 in one n x n buffer, as it runs on every call
-        v = np.asarray(self.states.values, dtype=float)
+        v = self.states._value_array
         c = _rule_scale(self.rule, self.n)
         with np.errstate(over="ignore"):  # an entry past the range is refused
             coef = v[:, None] - v[None, :]
             np.fill_diagonal(coef, 1.0)  # placeholder, diagonal zeroed below
             coef **= 2
             np.divide(c, coef, out=coef)
-            span = max(self.states.values) - min(self.states.values)
+            span = float(v.max()) - float(v.min())
             if math.isinf(span * span):
                 # a gap whose square passes the range divides twice, in
                 # halves, as the gap itself may pass it
@@ -163,7 +163,7 @@ def _rule_grid(beta: BetaMatrix) -> np.ndarray | None:
     Python floats a span past the double range is inf without a warning."""
     if beta.rule is None:
         return None
-    vals = np.fromiter(beta.states.values, float, len(beta.states.values))
+    vals = beta.states._value_array
     ints = np.rint(vals)
     lo, hi = float(ints.min()), float(ints.max())
     if np.all(vals == ints) and hi - lo + 1 <= _DENSE_CAP**2:
@@ -172,9 +172,22 @@ def _rule_grid(beta: BetaMatrix) -> np.ndarray | None:
 
 
 def _fft_size(span: int) -> int:
-    """The least power of two >= 2 (span + 1): holds a correlation over
-    [0, span] unwrapped."""
-    return 1 << (2 * span + 1).bit_length()
+    """The least 2^a 3^b 5^c >= 2 span + 1: holds a correlation over
+    [-span, span] unwrapped, on a length numpy's FFT factors into radix 2,
+    3 and 5 passes.  Each 3^b 5^c below the best so far takes the least
+    power of two that lifts it past 2 span."""
+    m = 2 * span
+    best = 1 << m.bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            size = p << (m // p).bit_length()
+            if size < best:
+                best = size
+            p *= 3
+        p5 *= 5
+    return best
 
 
 def _spread(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -411,15 +424,16 @@ def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
     """Sum of beta_ij + beta_ji over pairs straddling the hypothesis boundary.
 
     For inverse-square rules on integer grids whose values span at most
-    2048**2 points, the crossing pairs are counted by value distance with
-    one FFT cross-correlation, so the cost grows with the span of the values
-    rather than with the number of pairs, and no dense matrix is built.  On
-    spans up to 2048 the weighted sum agrees bit for bit with exact
-    enumeration: a 200-bit fixed-point sum brackets it, and the double both
-    ends round to is returned; when they round apart it is summed exactly
-    over lcm(1..span)^2.  Wider spans sum the counts in floating point;
-    matrix betas and other grids take the dense sum, which holds at most
-    2048 states.  A coefficient beyond the double range is inf.
+    2048**2 points, the crossing pairs are counted by value distance from
+    one real autocorrelation by FFT (_crossing_counts), so the cost grows
+    with the span of the values rather than with the number of pairs, and
+    no dense matrix is built.  On spans up to 2048 the weighted sum agrees
+    bit for bit with exact enumeration: a 200-bit fixed-point sum brackets
+    it, and the double both ends round to is returned; when they round
+    apart it is summed exactly over lcm(1..span)^2.  Wider spans sum the
+    counts in floating point; matrix betas and other grids take the dense
+    sum, which holds at most 2048 states.  A coefficient beyond the double
+    range is inf.
     """
     if beta.states != h.states:
         raise StateSpaceMismatch("hypothesis and beta disagree on states")
@@ -442,22 +456,32 @@ def _member_mask(h: Hypothesis) -> np.ndarray:
 def _crossing_counts(vals: np.ndarray, member: np.ndarray) -> np.ndarray:
     """counts[d] = number of unordered crossing pairs at value distance d.
 
-    vals are integers and member a boolean mask over them.  The counts are
-    the FFT cross-correlation of the member and non-member indicators on
-    [min(vals), max(vals)], rounded back to exact integers, so time and
-    memory grow with the span of the values.
+    vals are integers and member a boolean mask over them.  On [min(vals),
+    max(vals)] let s be +1 on members, -1 on the other states and 0 between
+    states.  Its autocorrelation (s * s)[d] = sum_x s[x] s[x + d] counts
+    the pairs at distance d on one side less those that cross, so
+    counts = (pairs - s * s) / 2, with pairs[d] all pairs at distance d: one
+    real FFT, its power spectrum and one inverse, on _fft_size(span)
+    points.  Without gaps pairs[d] = span + 1 - d; with gaps pairs is the
+    state indicator's autocorrelation, one forward transform more.  The
+    counts are rounded back to exact integers, so time and memory grow with
+    the span of the values.
     """
-    grid = _spread(vals, np.stack([member, ~member]))
-    span = grid.shape[1] - 1
+    span = int(vals.max() - vals.min())
     size = _fft_size(span)
-    fa, fb = (np.fft.rfft(row, size) for row in grid)
-    corr = np.fft.irfft(np.conj(fa) * fb + np.conj(fb) * fa, size)[: span + 1]
+    gaps = vals.size <= span
+    rows = (np.where(member, 1.0, -1.0), np.ones(vals.size))[: 1 + gaps]
+    f = np.fft.rfft(_spread(vals, np.stack(rows)), size)
+    power = f.real**2 + f.imag**2  # the transforms of s * s (and of pairs)
+    if gaps:  # pairs - s * s under one inverse transform
+        corr = np.fft.irfft(power[1] - power[0], size)[: span + 1] / 2
+    else:  # pairs[d] = span + 1 - d
+        ss = np.fft.irfft(power[0], size)[: span + 1]
+        corr = (np.arange(span + 1.0, 0.0, -1.0) - ss) / 2
     counts = np.rint(corr)
     if np.max(np.abs(corr - counts)) > 0.25:
         raise SolverFailure("crossing-count FFT lost integer precision")
-    counts = counts.astype(np.int64)
-    counts[0] = 0
-    return counts
+    return counts.astype(np.int64)
 
 
 def _partition_by_distance(vals: np.ndarray, member: np.ndarray, c: float) -> float:

@@ -152,7 +152,9 @@ class StateSpace:
     """Ordered state labels, optionally with numeric positions attached.
 
     Values are needed only by the one-dimensional coefficient rules and the
-    continuity diagnostics; plain labeled states work everywhere else.
+    continuity diagnostics; plain labeled states work everywhere else.  The
+    values are also kept as a read-only float array, _value_array (None
+    without values), which is no field: equality, hash and repr ignore it.
     """
 
     labels: tuple
@@ -162,11 +164,14 @@ class StateSpace:
         object.__setattr__(self, "labels", _labels(self.labels, "state"))
         if len(self.labels) < 2:
             raise ValidationError("need at least 2 states")
+        vals = None
         if self.values is not None:
             vals = _finite(self.values, "state values", (len(self.labels),))
             object.__setattr__(self, "values", tuple(vals.tolist()))
             if len(set(self.values)) != len(self.values):
                 raise DuplicateValues("state values must be distinct")
+            vals.flags.writeable = False
+        object.__setattr__(self, "_value_array", vals)
 
     @property
     def n(self) -> int:

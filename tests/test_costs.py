@@ -6,6 +6,8 @@ on small grids, so the oracle here sums crossing pairs in exact rational
 arithmetic and rounds once, mirroring what the fast path guarantees.
 """
 
+import bisect
+import hashlib
 import json
 import math
 import time
@@ -54,6 +56,7 @@ from infocost import (
 from infocost import costs
 from infocost.costs import (
     _crossing_counts,
+    _fft_size,
     _flip_divergence,
     _llr_sum,
     _rule_apply,
@@ -926,6 +929,12 @@ class TestPartition:
                 [[rng.uniform_in(0.1, 2.0) for _ in range(3)] for _ in range(n)]
             )
             cases.append((beta, _rule_grid(beta), X, beta.dense() @ X))
+        # span 20 transforms on 45 = 3^2 5 points, no power of two
+        vals = (-7, -3, 0, 5, 13)
+        beta = BetaMatrix(StateSpace(vals, vals), None, (rule, 1.3))
+        assert _fft_size(int(_rule_grid(beta).max())) == 45
+        X = np.linspace(0.5, 2.0, 10).reshape(5, 2)
+        cases.append((beta, _rule_grid(beta), X, beta.dense() @ X))
         for budget in (costs._DENSE_CAP, 2):
             monkeypatch.setattr(costs, "_DENSE_CAP", budget)
             for beta, offsets, X, want in cases:
@@ -1046,22 +1055,23 @@ class TestPartition:
 
     def test_gdp_scale_counts_match_closed_forms(self):
         # crossing counts on the 60,001-state income grid, threshold and
-        # parity, against their closed forms
-        vals = np.arange(20000, 80001)
-        n = vals.size
-        d = np.arange(1, n)
-        below = int(np.sum(vals < 50000))
-        threshold = np.zeros(n, dtype=np.int64)
-        # pairs (i, i + d) with i < below <= i + d
-        threshold[1:] = (
-            np.minimum(below - 1, n - 1 - d) - np.maximum(0, below - d) + 1
-        )
-        parity = np.zeros(n, dtype=np.int64)
-        parity[1:] = np.where(d % 2 == 1, n - d, 0)
-        got_threshold = _crossing_counts(vals, vals >= 50000)
-        got_parity = _crossing_counts(vals, vals % 2 == 0)
-        np.testing.assert_array_equal(got_threshold, threshold)
-        np.testing.assert_array_equal(got_parity, parity)
+        # parity, against their closed forms; then on a grid of 2^20 points
+        for lo, cut, hi in ((20000, 50000, 80000), (-(2**19), 12345, 2**19 - 1)):
+            vals = np.arange(lo, hi + 1)
+            n = vals.size
+            d = np.arange(1, n)
+            below = int(np.sum(vals < cut))
+            threshold = np.zeros(n, dtype=np.int64)
+            # pairs (i, i + d) with i < below <= i + d
+            threshold[1:] = (
+                np.minimum(below - 1, n - 1 - d) - np.maximum(0, below - d) + 1
+            )
+            parity = np.zeros(n, dtype=np.int64)
+            parity[1:] = np.where(d % 2 == 1, n - d, 0)
+            got_threshold = _crossing_counts(vals, vals >= cut)
+            got_parity = _crossing_counts(vals, vals % 2 == 0)
+            np.testing.assert_array_equal(got_threshold, threshold)
+            np.testing.assert_array_equal(got_parity, parity)
 
     def test_gdp_rows_keep_their_bits(self):
         # the reproduction labels its states with their integer values;
@@ -1069,6 +1079,124 @@ class TestPartition:
         # they had under string labels
         got = {name: value.hex() for name, value in gdp_rows(1.0)}
         assert got == {"H1": "0x1.662d5da1db0e4p+4", "H2": "0x1.2120a1666b53ep+17"}
+
+
+def _brute_crossings(vals, member):
+    """Crossing pairs by value distance, every member against every other
+    state."""
+    vals = np.asarray(vals, dtype=np.int64)
+    d = np.abs(vals[member][:, None] - vals[~member][None, :])
+    return np.bincount(d.ravel(), minlength=int(vals.max() - vals.min()) + 1)
+
+
+def _crossing_corpus():
+    """(vals, member) cases: 2-state grids; then grids with and without
+    gaps, shuffled and offset to negative values, at spans on both sides of
+    several transform lengths, each with a random member set, one member
+    and all but one."""
+    rng = Xoshiro256(3002)
+    cases = [
+        (np.array(v), np.array(m))
+        for v in ((0, 1), (-5, 7), (1000, 3))
+        for m in ((True, False), (False, True))
+    ]
+    for length in (45, 128, 243, 1000, 4096):
+        for span in ((length - 1) // 2, (length + 1) // 2):
+            lo = rng.randint(-10**6, 10**6)
+            full = np.arange(lo, lo + span + 1)
+            inner = sorted({lo + rng.randint(1, span - 1) for _ in range(span // 4)})
+            gapped = np.array([lo, *inner, lo + span])
+            for vals in (full, gapped):
+                order = sorted(range(vals.size), key=lambda _: rng.uniform())
+                vals = vals[order]
+                n = vals.size
+                first = np.arange(n) == rng.randint(0, n - 1)
+                drawn = np.array([rng.uniform() < 0.5 for _ in range(n)])
+                drawn[:2] = (True, False)
+                cases += [(vals, drawn), (vals, first), (vals, ~first)]
+    return cases
+
+
+class TestCrossingCounts:
+    def test_counts_equal_brute_force(self):
+        for vals, member in _crossing_corpus():
+            got = _crossing_counts(vals, member)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _brute_crossings(vals, member))
+
+    def test_corpus_spans_straddle_each_transform_length(self):
+        spans = {int(v.max() - v.min()) for v, _ in _crossing_corpus()}
+        for length in (45, 128, 243, 1000, 4096):
+            assert _fft_size((length - 1) // 2) == length
+            assert _fft_size((length + 1) // 2) > length
+            assert {(length - 1) // 2, (length + 1) // 2} <= spans
+
+
+def _smooth_numbers(limit):
+    """Every 2^a 3^b 5^c up to limit, ascending."""
+    out = []
+    p5 = 1
+    while p5 <= limit:
+        p3 = p5
+        while p3 <= limit:
+            p = p3
+            while p <= limit:
+                out.append(p)
+                p *= 2
+            p3 *= 3
+        p5 *= 5
+    return sorted(out)
+
+
+class TestFFTSize:
+    def test_least_smooth_length_holding_the_correlation(self):
+        smooth = _smooth_numbers(2**23)
+        for span in [*range(5001), 2048**2 - 1]:
+            want = smooth[bisect.bisect_left(smooth, 2 * span + 1)]
+            assert _fft_size(span) == want, span
+
+    def test_gdp_grid_length(self):
+        assert _fft_size(60000) == 121500 == 2**2 * 3**5 * 5**3
+
+
+def _value_corpus():
+    """State spaces whose values are integer grids with and without gaps,
+    negative, beyond int64 or not integers, and one span past the double
+    range."""
+    rng = Xoshiro256(3001)
+    grids = [(0.0, 1.0), (-1e308, 1e308), (1e19, 1e19 + 2048, 1e19 + 4096)]
+    for _ in range(12):
+        n = rng.randint(2, 60)
+        lo = rng.randint(-10**6, 10**6)
+        ints = sorted({lo + rng.randint(0, 3 * n) for _ in range(2 * n)})[:n]
+        grids.append(tuple(ints))
+        grids.append(tuple(range(lo, lo + n))[::-1])
+        grids.append(tuple(v / 4 + rng.uniform() for v in ints))
+    return [StateSpace(tuple(range(len(v))), v) for v in grids]
+
+
+class TestStateValueArray:
+    def test_rule_grid_and_dense_keep_their_bits(self):
+        # sha256 prefix of every _rule_grid and rule-backed dense() on the
+        # corpus, recorded when both still converted the values tuple on
+        # each call
+        h = hashlib.sha256()
+        for states in _value_corpus():
+            for rule in ("one_dimensional", "inverse_square"):
+                beta = BetaMatrix(states, None, (rule, 1.5))
+                grid = _rule_grid(beta)
+                h.update(b"-" if grid is None else grid.astype(np.int64).tobytes())
+                h.update(beta.dense().tobytes())
+        assert h.hexdigest()[:16] == "c01ea6da050b9781"
+
+    def test_rule_grid_and_dense_leave_the_array_unchanged(self):
+        states = StateSpace(("a", "b", "c"), (4, -2, 9))
+        beta = inverse_square_betas(states, 2.0)
+        offsets = _rule_grid(beta)
+        offsets[0] = 99
+        np.testing.assert_array_equal(_rule_grid(beta), (6, 0, 11))
+        np.testing.assert_array_equal(states._value_array, (4.0, -2.0, 9.0))
+        assert beta.dense()[0, 1] == 2.0 / 36
 
 
 def _asymmetry_reference(eps, kappa):

@@ -8,6 +8,7 @@ in z with kinks only at posterior atoms, so checking the kink points is
 an exact, LP-free oracle.
 """
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -95,6 +96,29 @@ class TestStateSpace:
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValidationError):
             StateSpace(("a", "b"), (0.0, math.inf))
+
+    def test_values_are_kept_as_a_read_only_array(self):
+        s = StateSpace(("a", "b", "c"), [3, -1.5, 1e19])
+        arr = s._value_array
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        np.testing.assert_array_equal(arr, s.values)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        assert StateSpace(("a", "b"))._value_array is None
+
+    def test_value_array_is_no_field(self):
+        # equality, hash and repr see labels and values only, and replace
+        # builds the array afresh from the new values
+        s = StateSpace(("a", "b", "c"), (3, -1.5, 2))
+        twin = StateSpace(["a", "b", "c"], np.array([3.0, -1.5, 2.0]))
+        assert [f.name for f in dataclasses.fields(s)] == ["labels", "values"]
+        assert s == twin and hash(s) == hash(twin)
+        assert hash(s) == hash((s.labels, s.values))
+        assert repr(s) == "StateSpace(labels=('a', 'b', 'c'), values=(3.0, -1.5, 2.0))"
+        moved = dataclasses.replace(s, values=(0, 1, 5))
+        np.testing.assert_array_equal(moved._value_array, (0.0, 1.0, 5.0))
+        np.testing.assert_array_equal(s._value_array, (3.0, -1.5, 2.0))
+        assert dataclasses.replace(s, values=None)._value_array is None
 
 
 class TestExperimentConstruction:
