@@ -64,11 +64,13 @@ class BetaMatrix:
 
     Either an explicit coefficient matrix (diagonal ignored) or a rule
     (name, kappa), "one_dimensional" or "inverse_square", on states with
-    values.  A rule keeps no matrix: coef stays None, and dense() builds a
-    fresh read-only one on each call, for at most _DENSE_CAP states.  Every
-    price goes through apply(X) = B @ X: on integer grids whose values span
-    at most _DENSE_CAP**2 points it runs by FFT (_rule_apply) whenever that
-    takes no more points than the matrix has entries (above _DENSE_CAP
+    values.  A rule keeps coef None and, as no fields, its scale _scale
+    (beta_ij = _scale / (v_i - v_j)^2) and, for integer values spanning at
+    most _DENSE_CAP**2 points, _grid: their read-only int64 offsets from the
+    smallest, so integers past int64 count too (else None).  dense() builds
+    its matrix once, for at most _DENSE_CAP states.  Every price goes
+    through apply(X) = B @ X: on _grid it runs by FFT (_rule_apply) whenever
+    that takes no more points than the matrix has entries (above _DENSE_CAP
     states, per column), at any size, so the prices and partition
     coefficients work on grids far too large to materialize.  Rules come
     from the constructors below.
@@ -80,6 +82,7 @@ class BetaMatrix:
 
     def __post_init__(self):
         coef = self.coef
+        scale = grid = None
         if self.rule is not None:
             if not (isinstance(self.rule, tuple) and len(self.rule) == 2):
                 raise ValidationError(f"rule {self.rule!r} is not a (name, kappa) pair")
@@ -88,7 +91,19 @@ class BetaMatrix:
                 raise ValidationError(f"unknown rule {name!r}")
             if self.states.values is None:
                 raise MissingValues("rule needs a StateSpace with values")
-            object.__setattr__(self, "rule", (name, _real(kappa, "kappa")))
+            kappa = _real(kappa, "kappa")
+            object.__setattr__(self, "rule", (name, kappa))
+            scale = kappa / (self.n * (self.n - 1)) if name == "one_dimensional" else kappa
+            vals = self.states._value_array
+            ints = np.rint(vals)
+            # Python floats: a span past the double range is inf, without a warning
+            lo, hi = float(ints.min()), float(ints.max())
+            if np.all(vals == ints) and hi - lo + 1 <= _DENSE_CAP**2:
+                grid = (ints - lo).astype(np.int64)  # exact, as vals are integers
+                grid.flags.writeable = False
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_dense", None)  # dense() fills it
         if coef is None:
             if self.rule is None:
                 raise IncompleteInput("need a coefficient matrix or a rule")
@@ -107,17 +122,20 @@ class BetaMatrix:
         return self.states.n
 
     def dense(self) -> np.ndarray:
-        """Materialized coefficient matrix with zero diagonal; a rule's is
-        built afresh on each call, and refused above _DENSE_CAP states."""
+        """Materialized coefficient matrix with zero diagonal, read-only: coef
+        itself, or a rule's, built on the first call and kept (_dense);
+        refused above _DENSE_CAP states."""
         if self.coef is not None:
             return self.coef
+        if self._dense is not None:
+            return self._dense
         if self.n > _DENSE_CAP:
             raise ValidationError(
                 f"{self.n} states: coefficient matrix too large to materialize"
             )
-        # c / (v_i - v_j)^2 in one n x n buffer, as it runs on every call
+        # c / (v_i - v_j)^2 in one n x n buffer
         v = self.states._value_array
-        c = _rule_scale(self.rule, self.n)
+        c = self._scale
         with np.errstate(over="ignore"):  # an entry past the range is refused
             coef = v[:, None] - v[None, :]
             np.fill_diagonal(coef, 1.0)  # placeholder, diagonal zeroed below
@@ -134,41 +152,20 @@ class BetaMatrix:
             raise ValidationError("non-finite off-diagonal coefficient")
         np.fill_diagonal(coef, 0.0)
         coef.flags.writeable = False
+        object.__setattr__(self, "_dense", coef)
         return coef
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """B @ X for an (n, k) matrix X: by FFT for a rule on an integer grid
-        (_rule_grid) whose k columns take no more FFT points than B has
-        entries, else by dense(), which refuses a rule above _DENSE_CAP.
-        Above the cap only one column's points count: dense() is no
-        alternative there, and _rule_apply bounds its memory in blocks."""
-        vals = _rule_grid(self) if self.coef is None else None
+        """B @ X for an (n, k) matrix X: by FFT for a rule on its _grid whose
+        k columns take no more FFT points than B has entries, else by
+        dense(), which refuses a rule above _DENSE_CAP.  Above the cap only
+        one column's points count: dense() is no alternative there, and
+        _rule_apply bounds its memory in blocks."""
+        vals = self._grid if self.coef is None else None
         k = X.shape[1] if self.n <= _DENSE_CAP else 1
         if vals is not None and _fft_size(int(vals.max())) * k <= self.n**2:
-            return _rule_apply(self, vals, X)
+            return _rule_apply(self, X)
         return self.dense() @ X
-
-
-def _rule_scale(rule: tuple[str, float], n: int) -> float:
-    """Constant c such that beta_ij = c / (v_i - v_j)^2."""
-    name, kappa = rule
-    return kappa / (n * (n - 1)) if name == "one_dimensional" else kappa
-
-
-def _rule_grid(beta: BetaMatrix) -> np.ndarray | None:
-    """A rule's state values as int64 offsets from the smallest, when they
-    are integers spanning at most _DENSE_CAP**2 points, else None (also for
-    a matrix beta).  Offsets, not values, so that integers beyond int64
-    such as 1e19 still count; the float subtraction is exact there, and in
-    Python floats a span past the double range is inf without a warning."""
-    if beta.rule is None:
-        return None
-    vals = beta.states._value_array
-    ints = np.rint(vals)
-    lo, hi = float(ints.min()), float(ints.max())
-    if np.all(vals == ints) and hi - lo + 1 <= _DENSE_CAP**2:
-        return (ints - lo).astype(np.int64)
-    return None
 
 
 def _fft_size(span: int) -> int:
@@ -200,9 +197,9 @@ def _spread(vals: np.ndarray, X: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _rule_apply(beta: BetaMatrix, vals: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """B @ X for the (n, k) matrix X and a rule on the integer offsets vals
-    (_rule_grid), without building B.
+def _rule_apply(beta: BetaMatrix, X: np.ndarray) -> np.ndarray:
+    """B @ X for the (n, k) matrix X and a rule on its integer grid
+    (beta._grid), without building B.
 
     beta_ij = c / (v_i - v_j)^2 depends only on the value distance, so each
     column of B @ X is that column, spread over the value span, convolved
@@ -211,6 +208,7 @@ def _rule_apply(beta: BetaMatrix, vals: np.ndarray, X: np.ndarray) -> np.ndarray
     go through in blocks of at most _DENSE_CAP**2 FFT points (one column at
     least), which bounds the memory whatever k is.
     """
+    vals = beta._grid
     span = int(vals.max())
     size = _fft_size(span)
     d = np.arange(1, span + 1)
@@ -223,7 +221,7 @@ def _rule_apply(beta: BetaMatrix, vals: np.ndarray, X: np.ndarray) -> np.ndarray
         grid = _spread(vals, X[:, lo : lo + step].T)
         block = np.fft.irfft(np.fft.rfft(grid, size) * fk, size)
         BX[:, lo : lo + step] = block[:, vals].T  # vals are offsets
-    return _rule_scale(beta.rule, beta.n) * BX
+    return beta._scale * BX
 
 
 def one_dimensional_betas(states: StateSpace, kappa: float) -> BetaMatrix:
@@ -395,7 +393,8 @@ def llr_cost_via_posteriors(mu: Experiment, beta: BetaMatrix, prior) -> float:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A proper, non-empty subset of state indices."""
+    """A proper, non-empty subset of state indices, also kept as _mask, a
+    read-only boolean mask over the states that is no field."""
 
     states: StateSpace
     members: frozenset
@@ -411,13 +410,21 @@ class Hypothesis:
             for t in set(map(type, members))
         ):
             raise ValidationError(bad)
-        members = frozenset(map(int, members))
-        object.__setattr__(self, "members", members)
         n = self.states.n
-        if members and not (0 <= min(members) and max(members) < n):
+        try:
+            index = np.fromiter(members, np.intp, len(members))
+        except OverflowError:  # an integer beyond intp, so out of range
+            index = np.array([n])
+        if index.size and not (0 <= index.min() and index.max() < n):
             raise ValidationError("member index out of range")
+        members = frozenset(map(int, members))  # shares the ints it is given
         if not 0 < len(members) < n:
             raise ValidationError("hypothesis must be proper and non-empty")
+        mask = np.zeros(n, dtype=bool)
+        mask[index] = True
+        mask.flags.writeable = False
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_mask", mask)
 
 
 def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
@@ -437,20 +444,12 @@ def partition_coefficient(beta: BetaMatrix, h: Hypothesis) -> float:
     """
     if beta.states != h.states:
         raise StateSpaceMismatch("hypothesis and beta disagree on states")
-    mask = _member_mask(h)
-    vals = _rule_grid(beta)
-    if vals is not None:
-        return _partition_by_distance(vals, mask, _rule_scale(beta.rule, beta.n))
+    mask = h._mask
+    if beta._grid is not None:
+        return _partition_by_distance(beta._grid, mask, beta._scale)
     coef = beta.dense()
     with np.errstate(over="ignore"):  # past the double range the sum is inf
         return float(coef[np.ix_(mask, ~mask)].sum() + coef[np.ix_(~mask, mask)].sum())
-
-
-def _member_mask(h: Hypothesis) -> np.ndarray:
-    """Boolean mask over the states, True on the hypothesis' members."""
-    mask = np.zeros(h.states.n, dtype=bool)
-    mask[np.fromiter(h.members, np.intp, len(h.members))] = True
-    return mask
 
 
 def _crossing_counts(vals: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -544,7 +543,7 @@ def hypothesis_test_cost(beta: BetaMatrix, h: Hypothesis, alpha: float) -> float
 def partition_experiment(h: Hypothesis, alpha: float) -> Experiment:
     """The explicit two-signal experiment behind hypothesis_test_cost."""
     alpha = _real(alpha, "alpha", 0.0, 1.0, AlphaOutOfRange)
-    member = _member_mask(h)[:, None]
+    member = h._mask[:, None]
     probs = np.where(member, (alpha, 1 - alpha), (1 - alpha, alpha))
     return Experiment(h.states, ("in", "out"), probs)
 

@@ -47,8 +47,8 @@ from .errors import (
     _integer,
     _is_real,
 )
-from .experiments import LLRDistribution, _check_prob_matrix, _finite, _floats, _freeze
-from .experiments import _merge_point_rows
+from .experiments import LLR_MERGE_TOL, LLRDistribution, _check_prob_matrix, _finite
+from .experiments import _convolve_atoms, _floats, _freeze, _merge_point_rows
 
 MultiIndex = tuple[int, ...]
 
@@ -151,7 +151,7 @@ class FiniteDistribution:
 
 
 def finite_distribution(points, weights) -> FiniteDistribution:
-    """Construct with nearby points (within 1e-12) merged first."""
+    """Construct with nearby points (within LLR_MERGE_TOL = 1e-12) merged first."""
     # finite: the merge would subtract inf from inf
     pts = np.atleast_2d(_finite(points, "atoms"))
     w = _floats(weights, "weights").reshape(1, -1)
@@ -159,7 +159,7 @@ def finite_distribution(points, weights) -> FiniteDistribution:
         raise DimensionMismatch(f"{pts.shape[0]} points against {w.shape[1]} weights")
     if pts.size == 0:
         raise ValidationError("empty distribution")  # the merge needs a row and a key
-    merged_pts, merged_w = _merge_point_rows(pts, w, 1e-12)
+    merged_pts, merged_w = _merge_point_rows(pts, w, LLR_MERGE_TOL)
     return FiniteDistribution(merged_pts, merged_w[0])
 
 
@@ -175,8 +175,7 @@ def convolve(a: FiniteDistribution, b: FiniteDistribution) -> FiniteDistribution
     """Distribution of X + Y for independent X ~ a, Y ~ b."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions {a.dim} and {b.dim}")
-    sums = (a.atoms[:, None, :] + b.atoms[None, :, :]).reshape(-1, a.dim)
-    return finite_distribution(sums, a.weights[:, None] * b.weights[None, :])
+    return FiniteDistribution(*_convolve_atoms(a, b))
 
 
 @dataclass(frozen=True)

@@ -350,8 +350,8 @@ def _merge_point_rows(
     anchor and groups never chain beyond 2 tol per component, but rows
     within tol of each other stay apart when the sort puts a row of another
     group between them.  Each group is represented, in sorted order, by the
-    plain mean of its members.  `weights` has one column per point and any
-    number of rows.  Points must be finite.
+    plain mean of its members.  `weights` has one entry per point along
+    its last axis.  Points must be finite.
 
     The sort is one stable `np.argsort`, so equal rows keep their input
     order and the permutation is `np.lexsort`'s.  Its key is the float
@@ -401,7 +401,7 @@ def _merge_point_rows(
         idx = starts.nonzero()[0]
         counts = np.concatenate((idx[1:], [k])) - idx
     merged_points = np.add.reduceat(sorted_points, idx, axis=0) / counts[:, None]
-    merged_weights = np.add.reduceat(weights.take(order, axis=1), idx, axis=1)
+    merged_weights = np.add.reduceat(weights.take(order, axis=-1), idx, axis=-1)
     return merged_points, merged_weights
 
 
@@ -469,31 +469,29 @@ def check_admissible(sigma: LLRDistribution, tol: float = 1e-8) -> bool:
     return bool(np.all(np.abs(sigma.weights[1:] - expected) <= tol))
 
 
-def convolve_llr(a: LLRDistribution, b: LLRDistribution) -> LLRDistribution:
-    """LLR distribution of the product experiment: atoms add, weights multiply.
-
-    Statewise convolution with a shared atom merge, so the result stays
-    admissible.  Avoids materializing product experiments whose signal count
-    grows geometrically.
-
-    The ka * kb product rows form min(ka, kb) runs: the larger operand's
-    atoms, which the merge left sorted, shifted by one atom of the smaller.
-    So the merge's stable sort meets a few long, nearly sorted runs, and
-    unequal counts give the same bits in either operand order.
-    """
-    if a.n_states != b.n_states:
-        raise DimensionMismatch("state counts differ")
+def _convolve_atoms(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of the sum of independent draws from a and b, two
+    LLRDistributions or two FiniteDistributions: atoms add, weights multiply,
+    and the ka * kb products merge at LLR_MERGE_TOL (`_merge_point_rows`).
+    They form min(ka, kb) runs, the larger operand's atoms (which a merge
+    left sorted) shifted by one atom of the smaller, so the stable sort meets
+    a few long, nearly sorted runs, and unequal counts give the same bits in
+    either operand order."""
     if a.n_atoms > b.n_atoms:
         a, b = b, a
-    ka, kb = a.n_atoms, b.n_atoms
-    points = (a.atoms[:, None, :] + b.atoms[None, :, :]).reshape(ka * kb, -1)
-    weights = (a.weights[:, :, None] * b.weights[:, None, :]).reshape(
-        a.n_states, ka * kb
-    )
-    merged_points, merged_weights = _merge_point_rows(
-        points, weights, LLR_MERGE_TOL
-    )
-    return LLRDistribution(merged_points, merged_weights)
+    points = (a.atoms[:, None] + b.atoms[None]).reshape(-1, a.atoms.shape[1])
+    weights = a.weights[..., :, None] * b.weights[..., None, :]
+    weights = weights.reshape(*weights.shape[:-2], -1)
+    return _merge_point_rows(points, weights, LLR_MERGE_TOL)
+
+
+def convolve_llr(a: LLRDistribution, b: LLRDistribution) -> LLRDistribution:
+    """LLR distribution of the product experiment, by `_convolve_atoms`:
+    statewise, with one shared merge, so the result stays admissible, and
+    without the product experiment, whose signal count grows geometrically."""
+    if a.n_states != b.n_states:
+        raise DimensionMismatch("state counts differ")
+    return LLRDistribution(*_convolve_atoms(a, b))
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

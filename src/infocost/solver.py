@@ -48,7 +48,8 @@ _STACK_ENTRIES = 1 << 21
 
 @dataclass(frozen=True, eq=False)
 class DecisionProblem:
-    """States with a prior, actions, and a payoff matrix u(a, i)."""
+    """States with a prior, actions, and a payoff matrix u(a, i); the
+    (state, action) table q_i u(a, i) is kept read-only as _qu, no field."""
 
     states: StateSpace
     actions: tuple
@@ -61,11 +62,13 @@ class DecisionProblem:
             raise ValidationError("no actions")
         u = _finite(self.utility, "utility", (len(actions), self.states.n))
         q = _full_support_row(self.prior, self.states.n, "prior", PriorNotFullSupport)
-        u.flags.writeable = False
-        q.flags.writeable = False
+        qu = q[:, None] * u.T
+        for a in (u, q, qu):
+            a.flags.writeable = False
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "utility", u)
         object.__setattr__(self, "prior", q)
+        object.__setattr__(self, "_qu", qu)
 
     @property
     def n_states(self) -> int:
@@ -141,8 +144,7 @@ def _check_dimensions(problem: DecisionProblem, rule: ChoiceRule, beta: BetaMatr
 
 
 def _expected_utility(problem: DecisionProblem, P: np.ndarray) -> float:
-    qU = problem.prior[:, None] * problem.utility.T
-    return float(np.sum(qU * P))
+    return float(np.sum(problem._qu * P))
 
 
 def _result(problem, P, cost, foc, iterations, converged) -> SolveResult:
@@ -255,8 +257,7 @@ def foc_residual(
             "rule has a zero probability on a supported action"
         )
     B = beta.dense()
-    qU = (problem.prior[:, None] * problem.utility.T)[:, support]
-    return _residual(qU - _cost_gradient(Q, B, B.sum(axis=1)))
+    return _residual(problem._qu[:, support] - _cost_gradient(Q, B, B.sum(axis=1)))
 
 
 def solve_llr(
@@ -332,7 +333,7 @@ def solve_llr(
             stacklevel=2,
         )
     Bsum = B.sum(axis=1)
-    W = problem.prior[:, None] * problem.utility.T  # column a is w_a
+    W = problem._qu  # column a is w_a
     n, m = W.shape
     tol = opts.tol
     it = 0

@@ -61,7 +61,6 @@ from infocost.costs import (
     _llr_sum,
     _rule_apply,
     _rule_cost,
-    _rule_grid,
 )
 from infocost.reproduce import gdp_rows
 from infocost.errors import (
@@ -169,7 +168,7 @@ class TestBetaMatrix:
     @pytest.mark.parametrize("rule", ["one_dimensional", "inverse_square"])
     def test_rule_keeps_no_matrix(self, rule):
         # construction checks the rule and stores nothing of size n^2;
-        # dense() builds the formula's matrix, read-only, on each call
+        # dense() builds the formula's matrix, read-only, on its first call
         states = _grid_states(2000, start=-700, step=3)
         tracemalloc.start()
         try:
@@ -190,6 +189,30 @@ class TestBetaMatrix:
             d = states.values[i] - states.values[j]
             assert dense[i, j] == (0.0 if i == j else c / d**2)
         assert np.all(np.diag(dense) == 0.0)
+
+    def test_dense_builds_a_rule_matrix_once(self):
+        # a second call returns the kept matrix itself, not a rebuilt copy;
+        # on a grid that is not integer every price reads that matrix
+        states = StateSpace(("a", "b", "c"), (0.5, 1.25, 3.0))
+        beta = inverse_square_betas(states, 2.0)
+        assert beta._grid is None
+        dense = beta.dense()
+        assert beta.dense() is dense
+        assert not dense.flags.writeable
+        np.testing.assert_array_equal(beta.apply(np.eye(3)), dense)
+        assert beta.dense() is dense
+        explicit = BetaMatrix(states, dense)
+        assert explicit.dense() is explicit.coef
+
+    def test_kept_arrays_are_read_only(self):
+        states = _grid_states(4, start=-3, step=2)
+        beta = one_dimensional_betas(states, 1.0)
+        h = Hypothesis(states, [2, 0, 2])
+        np.testing.assert_array_equal(h._mask, (True, False, True, False))
+        for kept in (beta._grid, h._mask):
+            with pytest.raises(ValueError):
+                kept[1] = kept[0]
+        assert beta._scale == 1.0 / 12
 
 
 class TestBetaJson:
@@ -616,6 +639,11 @@ class TestPartition:
         h = Hypothesis(_grid_states(4), [np.int64(2), np.uint8(0), 3])
         assert h.members == frozenset({0, 2, 3})
         assert all(type(i) is int for i in h.members)
+        # an integer array, or repeats, give the same set and mask
+        for members in (np.array([3, 0, 2]), [2, 3, 0, 3, 2]):
+            again = Hypothesis(_grid_states(4), members)
+            assert again == h and hash(again) == hash(h) and repr(again) == repr(h)
+            np.testing.assert_array_equal(again._mask, h._mask)
 
     def test_threshold_fast_path_is_bit_exact(self):
         for n in (2, 3, 17, 60, 200):
@@ -928,18 +956,18 @@ class TestPartition:
             X = np.array(
                 [[rng.uniform_in(0.1, 2.0) for _ in range(3)] for _ in range(n)]
             )
-            cases.append((beta, _rule_grid(beta), X, beta.dense() @ X))
+            cases.append((beta, X, beta.dense() @ X))
         # span 20 transforms on 45 = 3^2 5 points, no power of two
         vals = (-7, -3, 0, 5, 13)
         beta = BetaMatrix(StateSpace(vals, vals), None, (rule, 1.3))
-        assert _fft_size(int(_rule_grid(beta).max())) == 45
+        assert _fft_size(int(beta._grid.max())) == 45
         X = np.linspace(0.5, 2.0, 10).reshape(5, 2)
-        cases.append((beta, _rule_grid(beta), X, beta.dense() @ X))
+        cases.append((beta, X, beta.dense() @ X))
         for budget in (costs._DENSE_CAP, 2):
             monkeypatch.setattr(costs, "_DENSE_CAP", budget)
-            for beta, offsets, X, want in cases:
+            for beta, X, want in cases:
                 np.testing.assert_allclose(
-                    _rule_apply(beta, offsets, X), want, rtol=1e-12, atol=0.0
+                    _rule_apply(beta, X), want, rtol=1e-12, atol=0.0
                 )
 
     def test_sparse_wide_grid_above_the_cap_refuses_without_fft(self):
@@ -1177,14 +1205,14 @@ def _value_corpus():
 
 class TestStateValueArray:
     def test_rule_grid_and_dense_keep_their_bits(self):
-        # sha256 prefix of every _rule_grid and rule-backed dense() on the
+        # sha256 prefix of every rule's grid and rule-backed dense() on the
         # corpus, recorded when both still converted the values tuple on
         # each call
         h = hashlib.sha256()
         for states in _value_corpus():
             for rule in ("one_dimensional", "inverse_square"):
                 beta = BetaMatrix(states, None, (rule, 1.5))
-                grid = _rule_grid(beta)
+                grid = beta._grid
                 h.update(b"-" if grid is None else grid.astype(np.int64).tobytes())
                 h.update(beta.dense().tobytes())
         assert h.hexdigest()[:16] == "c01ea6da050b9781"
@@ -1192,9 +1220,9 @@ class TestStateValueArray:
     def test_rule_grid_and_dense_leave_the_array_unchanged(self):
         states = StateSpace(("a", "b", "c"), (4, -2, 9))
         beta = inverse_square_betas(states, 2.0)
-        offsets = _rule_grid(beta)
-        offsets[0] = 99
-        np.testing.assert_array_equal(_rule_grid(beta), (6, 0, 11))
+        with pytest.raises(ValueError):
+            beta._grid[0] = 99
+        np.testing.assert_array_equal(beta._grid, (6, 0, 11))
         np.testing.assert_array_equal(states._value_array, (4.0, -2.0, 9.0))
         assert beta.dense()[0, 1] == 2.0 / 36
 

@@ -372,6 +372,14 @@ def test_pool_raises_only_validation_errors(surface):
             ValidationError,
         ),
         (lambda: ic.BetaMatrix(STATES, np.array([[False, True], [True, False]])), ValidationError),
+        # members: past int64 and uint64, a negative narrow integer, a float,
+        # and every state as a numpy array or as a list with repeats
+        (lambda: ic.Hypothesis(STATES, {2**63}), ValidationError),
+        (lambda: ic.Hypothesis(STATES, {np.uint64(2**64 - 1)}), ValidationError),
+        (lambda: ic.Hypothesis(STATES, {np.int8(-1)}), ValidationError),
+        (lambda: ic.Hypothesis(STATES, [1.0]), ValidationError),
+        (lambda: ic.Hypothesis(STATES, np.array([1, 0])), ValidationError),
+        (lambda: ic.Hypothesis(STATES, [1, 0, 1]), ValidationError),
         # inputs that disagree with each other, or are missing
         (lambda: ic.llr_cost_from_distribution(DIST, BETA_3), DimensionMismatch),
         (lambda: ic.binary_cost(0.8, BETA_3), DimensionMismatch),
@@ -403,6 +411,12 @@ def test_pool_raises_only_validation_errors(surface):
         "probs-strings",
         "prior-string-array",
         "coef-bool-array",
+        "members-beyond-int64",
+        "members-uint64-max",
+        "members-int8-negative",
+        "members-float",
+        "members-int-array-all-states",
+        "members-repeats-all-states",
         "distribution-state-count",
         "binary-cost-3-states",
         "posterior-route-states",

@@ -175,6 +175,12 @@ class TestDecisionProblem:
         with pytest.raises(RowSumViolation):
             DecisionProblem(states, ("a", "b"), u, (0.5, 0.6))
 
+    def test_keeps_its_prior_weighted_payoffs_read_only(self):
+        p = _matching_problem()
+        np.testing.assert_array_equal(p._qu, p.prior[:, None] * p.utility.T)
+        with pytest.raises(ValueError):
+            p._qu[0, 0] = 0.0
+
 
 class TestChoiceRule:
     def test_rows_must_normalize(self):
