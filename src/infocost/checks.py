@@ -86,6 +86,12 @@ def _rand_beta(rng: Xoshiro256, states: StateSpace) -> BetaMatrix:
     return BetaMatrix(states, coef)
 
 
+def _rand_priced(rng: Xoshiro256) -> tuple[Experiment, BetaMatrix]:
+    """States, then an experiment on them, then its prices."""
+    mu = _rand_experiment(rng, _rand_states(rng, rng.randint(2, 4)))
+    return mu, _rand_beta(rng, mu.states)
+
+
 def _rand_garbling(rng: Xoshiro256, m_in: int, m_out: int) -> GarblingMatrix:
     return GarblingMatrix(_rand_rows(rng, m_in, m_out, 0.01))
 
@@ -116,9 +122,7 @@ def _product_additivity(rng: Xoshiro256) -> Iterator[float]:
 
 
 def _dilution_linearity(rng: Xoshiro256) -> Iterator[float]:
-    states = _rand_states(rng, rng.randint(2, 4))
-    mu = _rand_experiment(rng, states)
-    beta = _rand_beta(rng, states)
+    mu, beta = _rand_priced(rng)
     alpha = rng.uniform_in(0.05, 0.999)
     lhs = llr_cost(dilute(mu, alpha), beta)
     rhs = alpha * llr_cost(mu, beta)
@@ -126,9 +130,7 @@ def _dilution_linearity(rng: Xoshiro256) -> Iterator[float]:
 
 
 def _blackwell_monotonicity(rng: Xoshiro256) -> Iterator[float]:
-    states = _rand_states(rng, rng.randint(2, 4))
-    mu = _rand_experiment(rng, states)
-    beta = _rand_beta(rng, states)
+    mu, beta = _rand_priced(rng)
     g = _rand_garbling(rng, mu.n_signals, rng.randint(2, mu.n_signals + 1))
     base = llr_cost(mu, beta)
     garbled = llr_cost(garble(mu, g), beta)
@@ -138,9 +140,7 @@ def _blackwell_monotonicity(rng: Xoshiro256) -> Iterator[float]:
 def _column_split_invariance(rng: Xoshiro256) -> Iterator[float]:
     # splitting one signal into two with state-independent proportions is a
     # garbling with a garbled inverse, so the cost must be unchanged
-    states = _rand_states(rng, rng.randint(2, 4))
-    mu = _rand_experiment(rng, states)
-    beta = _rand_beta(rng, states)
+    mu, beta = _rand_priced(rng)
     j = rng.randint(0, mu.n_signals - 1)
     t = rng.uniform_in(0.05, 0.95)
     split = np.eye(mu.n_signals, mu.n_signals + 1)
@@ -150,10 +150,8 @@ def _column_split_invariance(rng: Xoshiro256) -> Iterator[float]:
 
 
 def _posterior_representation(rng: Xoshiro256) -> Iterator[float]:
-    states = _rand_states(rng, rng.randint(2, 4))
-    mu = _rand_experiment(rng, states)
-    beta = _rand_beta(rng, states)
-    prior = _rand_prior(rng, states.n)
+    mu, beta = _rand_priced(rng)
+    prior = _rand_prior(rng, mu.n_states)
     direct = llr_cost(mu, beta)
     bayes = llr_cost_via_posteriors(mu, beta, prior)
     yield abs(direct - bayes) / (1.0 + abs(direct))
@@ -236,6 +234,7 @@ _APPENDIX = (
     ("self_convolution_scaling", 1e-9, None, _self_convolution_scaling),
     ("llr_moment_consistency", 1e-9, None, _llr_moment_consistency),
 )
+_SUITES = {"axioms": _AXIOMS, "appendix": _APPENDIX, "all": _AXIOMS + _APPENDIX}
 
 
 def run_suite(suite: str, seed: int = 0, trials: int = 200) -> list[PropertyResult]:
@@ -244,14 +243,10 @@ def run_suite(suite: str, seed: int = 0, trials: int = 200) -> list[PropertyResu
     suite is one of "axioms", "appendix", "all".  The same (suite, seed,
     trials) always produces the same instances and deviations.
     """
-    if suite == "axioms":
-        props = _AXIOMS
-    elif suite == "appendix":
-        props = _APPENDIX
-    elif suite == "all":
-        props = _AXIOMS + _APPENDIX
-    else:
-        raise ValidationError(f"suite {suite!r} not one of axioms, appendix, all")
+    try:
+        props = _SUITES[suite]
+    except (KeyError, TypeError):  # TypeError: an unhashable suite
+        raise ValidationError(f"suite {suite!r} not one of axioms, appendix, all") from None
     trials = _integer(trials, "trials", 1)
     rng = Xoshiro256(seed)
     results = []

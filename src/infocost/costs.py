@@ -43,6 +43,7 @@ from .experiments import (
     _finite,
     _floats,
     _full_support_row,
+    _json_fields,
     _json_labels,
     _nonnegative,
     _parsed,
@@ -64,16 +65,16 @@ class BetaMatrix:
 
     Either an explicit coefficient matrix (diagonal ignored) or a rule
     (name, kappa), "one_dimensional" or "inverse_square", on states with
-    values.  A rule keeps coef None and, as no fields, its scale _scale
-    (beta_ij = _scale / (v_i - v_j)^2) and, for integer values spanning at
-    most _DENSE_CAP**2 points, _grid: their read-only int64 offsets from the
-    smallest, so integers past int64 count too (else None).  dense() builds
-    its matrix once, for at most _DENSE_CAP states.  Every price goes
-    through apply(X) = B @ X: on _grid it runs by FFT (_rule_apply) whenever
-    that takes no more points than the matrix has entries (above _DENSE_CAP
-    states, per column), at any size, so the prices and partition
-    coefficients work on grids far too large to materialize.  Rules come
-    from the constructors below.
+    values, never both.  A rule keeps coef None and, as no fields, its
+    scale _scale (beta_ij = _scale / (v_i - v_j)^2) and, for integer values
+    spanning at most _DENSE_CAP**2 points, _grid: their read-only int64
+    offsets from the smallest, so integers past int64 count too (else None,
+    as for every matrix).  dense() builds its matrix once, for at most
+    _DENSE_CAP states.  Every price goes through apply(X) = B @ X: on _grid
+    it runs by FFT (_rule_apply) whenever that takes no more points than
+    the matrix has entries (above _DENSE_CAP states, per column), at any
+    size, so the prices and partition coefficients work on grids far too
+    large to materialize.  Rules come from the constructors below.
     """
 
     states: StateSpace
@@ -84,6 +85,8 @@ class BetaMatrix:
         coef = self.coef
         scale = grid = None
         if self.rule is not None:
+            if coef is not None:
+                raise ValidationError("give a coefficient matrix or a rule, not both")
             if not (isinstance(self.rule, tuple) and len(self.rule) == 2):
                 raise ValidationError(f"rule {self.rule!r} is not a (name, kappa) pair")
             name, kappa = self.rule
@@ -101,12 +104,12 @@ class BetaMatrix:
             if np.all(vals == ints) and hi - lo + 1 <= _DENSE_CAP**2:
                 grid = (ints - lo).astype(np.int64)  # exact, as vals are integers
                 grid.flags.writeable = False
+        elif coef is None:
+            raise IncompleteInput("need a coefficient matrix or a rule")
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_dense", None)  # dense() fills it
         if coef is None:
-            if self.rule is None:
-                raise IncompleteInput("need a coefficient matrix or a rule")
             return
         coef = _floats(coef, "beta coef", (self.states.n, self.states.n))
         np.fill_diagonal(coef, 0.0)
@@ -161,7 +164,7 @@ class BetaMatrix:
         dense(), which refuses a rule above _DENSE_CAP.  Above the cap only
         one column's points count: dense() is no alternative there, and
         _rule_apply bounds its memory in blocks."""
-        vals = self._grid if self.coef is None else None
+        vals = self._grid
         k = X.shape[1] if self.n <= _DENSE_CAP else 1
         if vals is not None and _fft_size(int(vals.max())) * k <= self.n**2:
             return _rule_apply(self, X)
@@ -284,10 +287,7 @@ def llr_cost(mu: Experiment, beta: BetaMatrix) -> float:
     """Weighted sum of pairwise KL divergences between the state rows."""
     if mu.states != beta.states:
         raise StateSpaceMismatch("experiment and beta disagree on states")
-    P = mu.probs
-    X = np.empty((P.shape[0], P.shape[1] + 1))
-    np.log(P / P[0], out=X[:, 1:])  # an experiment's entries are positive
-    return _nonnegative(_llr_sum(beta, P, X))
+    return _rule_cost(mu.probs, beta)  # a rule without zero entries
 
 
 def llr_cost_from_distribution(dist: LLRDistribution, beta: BetaMatrix) -> float:
@@ -586,8 +586,7 @@ def beta_from_json(obj: dict, states: StateSpace | None = None) -> BetaMatrix:
     Rule forms need `states` from context (the experiment or problem being
     priced); an explicit "states"/"coef" form carries its own.
     """
-    if not isinstance(obj, dict):
-        raise ValidationError("beta JSON must be an object")
+    _json_fields(obj, "beta")
     if "rule" in obj:
         if states is None:
             raise IncompleteInput("rule-form beta needs a state space context")
@@ -597,8 +596,7 @@ def beta_from_json(obj: dict, states: StateSpace | None = None) -> BetaMatrix:
         if name == "constant":
             return constant_betas(states, _rule_number(obj, "value"))
         raise ValidationError(f"unknown beta rule {name!r}")
-    if "coef" not in obj or "states" not in obj:
-        raise IncompleteInput("beta JSON needs 'coef' and 'states', or 'rule'")
+    _json_fields(obj, "beta", "coef", "states")
     own = StateSpace(_json_labels(obj, "states"), obj.get("values"))
     if states is not None:
         if own.labels != states.labels:
@@ -609,8 +607,7 @@ def beta_from_json(obj: dict, states: StateSpace | None = None) -> BetaMatrix:
 
 def _rule_number(obj: dict, key: str) -> float:
     """The number under `key` of a rule-form beta object."""
-    if key not in obj:
-        raise IncompleteInput(f"rule {obj['rule']!r} needs {key}")
+    _json_fields(obj, "beta", key)
     value = obj[key]
     if isinstance(value, str):  # rule files may spell numbers as strings
         value = _parsed(value, key)

@@ -28,6 +28,7 @@ from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     DuplicateValues,
+    IncompleteInput,
     InfoCostError,
     NonPositiveEntry,
     NotFullSupport,
@@ -479,10 +480,11 @@ def _convolve_atoms(a, b) -> tuple[np.ndarray, np.ndarray]:
     either operand order."""
     if a.n_atoms > b.n_atoms:
         a, b = b, a
-    points = (a.atoms[:, None] + b.atoms[None]).reshape(-1, a.atoms.shape[1])
-    weights = a.weights[..., :, None] * b.weights[..., None, :]
-    weights = weights.reshape(*weights.shape[:-2], -1)
-    return _merge_point_rows(points, weights, LLR_MERGE_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf
+        points = (a.atoms[:, None] + b.atoms[None]).reshape(-1, a.atoms.shape[1])
+        weights = a.weights[..., :, None] * b.weights[..., None, :]
+        weights = weights.reshape(*weights.shape[:-2], -1)
+        return _merge_point_rows(points, weights, LLR_MERGE_TOL)
 
 
 def convolve_llr(a: LLRDistribution, b: LLRDistribution) -> LLRDistribution:
@@ -647,13 +649,18 @@ def _json_labels(obj: dict, key: str) -> tuple:
     return _tuples(labels)
 
 
+def _json_fields(obj, kind: str, *keys: str) -> None:
+    """Refuse the JSON of a `kind` file with ValidationError if it is no
+    object, with IncompleteInput naming the first of `keys` it lacks."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{kind} JSON must be an object")
+    for key in keys:
+        if key not in obj:
+            raise IncompleteInput(f"{kind} JSON missing {key!r}")
+
+
 def experiment_from_json(obj: dict) -> Experiment:
     """Parse {"states": [...], "values": [...]?, "signals": [...], "probs": [[...]]}."""
-    try:
-        labels = _json_labels(obj, "states")
-        signals = _json_labels(obj, "signals")
-        probs = obj["probs"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"experiment JSON missing field: {exc}") from exc
-    states = StateSpace(labels, obj.get("values"))
-    return make_experiment(states, signals, probs)
+    _json_fields(obj, "experiment", "states", "signals", "probs")
+    states = StateSpace(_json_labels(obj, "states"), obj.get("values"))
+    return make_experiment(states, _json_labels(obj, "signals"), obj["probs"])

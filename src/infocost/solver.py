@@ -35,6 +35,7 @@ from .experiments import (
     _finite,
     _floats,
     _full_support_row,
+    _json_fields,
     _json_labels,
     _labels,
 )
@@ -236,9 +237,7 @@ def _test_steps(Y: np.ndarray, G: np.ndarray, B: np.ndarray, Bsum: np.ndarray):
 
 def _residual(R: np.ndarray) -> float:
     """Largest spread, over states, of q_i u(a, i) - c~(i, a) across the
-    columns of R."""
-    if R.shape[1] <= 1:
-        return 0.0
+    columns of R, at least one."""
     return float(np.max(R.max(axis=1) - R.min(axis=1)))
 
 
@@ -325,8 +324,7 @@ def solve_llr(
     if beta.states != problem.states:
         raise StateSpaceMismatch("beta and problem disagree on states")
     B = beta.dense()
-    off = ~np.eye(B.shape[0], dtype=bool)
-    if np.any(B[off] == 0.0):
+    if np.count_nonzero(B) < B.size - B.shape[0]:  # the diagonal is 0
         warnings.warn(
             "non-strict concavity: some distinguishability prices are zero",
             NonConcaveWarning,
@@ -375,9 +373,9 @@ def solve_llr(
         G, lower = gains(Y, C, axis=0)
         upper = G.max(axis=0)
         live = np.arange(C.shape[1])
-        y, g, c, lo = Y, G, C, lower
-        keep = (lower <= tol) & (upper > tol) & (upper - lower > tol)
+        y, g, c, lo, up, moved = Y, G, C, lower, upper, True
         while True:
+            keep = moved & (lo <= tol) & (up > tol) & (up - lo > tol)
             keep[opts.max_iter - it :] = False  # tests past the cap stop here
             if not keep.all():
                 live, lo = live[keep], lo[keep]
@@ -388,7 +386,6 @@ def solve_llr(
             y, g, lo, moved = ascend(y, _test_steps(y, g, B, Bsum), c, lo, axis=0)
             up = g.max(axis=0)
             Y[:, live], lower[live], upper[live] = y, lo, up
-            keep = moved & (lo <= tol) & (up > tol) & (up - lo > tol)
 
     cols = [int(np.argmax(W.sum(axis=0)))]
     X = np.ones((n, 1))
@@ -620,11 +617,7 @@ def problem_to_json(problem: DecisionProblem) -> dict:
 
 
 def problem_from_json(obj: dict) -> DecisionProblem:
-    if not isinstance(obj, dict):
-        raise ValidationError("problem JSON must be an object")
-    for key in ("states", "actions", "utility", "prior"):
-        if key not in obj:
-            raise ValidationError(f"problem JSON missing {key!r}")
+    _json_fields(obj, "problem", "states", "actions", "utility", "prior")
     states = StateSpace(_json_labels(obj, "states"), obj.get("values"))
     actions = _json_labels(obj, "actions")
     return DecisionProblem(states, actions, obj["utility"], obj["prior"])

@@ -232,6 +232,12 @@ class TestConvolve:
         with pytest.raises(DimensionMismatch):
             convolve(a, b)
 
+    def test_sums_past_the_double_range_refuse_without_warnings(self):
+        # 1e308 + 1e308 overflows; the suite turns a RuntimeWarning into an error
+        a = FiniteDistribution([[1e308], [0.0]], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="non-finite atoms"):
+            convolve(a, a)
+
 
 class TestLambdaEnumeration:
     def test_frozen_small_cases(self):

@@ -22,6 +22,7 @@ from conftest import rand_beta, rand_experiment, rand_prior, rand_states
 from infocost import (
     Experiment,
     GarblingMatrix,
+    LLRDistribution,
     StateSpace,
     Xoshiro256,
     binary_experiment,
@@ -467,6 +468,12 @@ class TestLLRDistribution:
                         np.testing.assert_array_max_ulp(ab.atoms, ba.atoms, maxulp=4)
                         np.testing.assert_array_max_ulp(ab.weights, ba.weights, maxulp=4)
         assert unequal > 0 and equal > 0
+
+    def test_convolution_past_the_double_range_refuses_without_warnings(self):
+        # 1e308 + 1e308 overflows; the suite turns a RuntimeWarning into an error
+        d = LLRDistribution([[1e308], [0.0]], [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="non-finite atoms"):
+            convolve_llr(d, d)
 
     def test_cost_from_distribution_matches_direct(self):
         rng = Xoshiro256(17)

@@ -226,6 +226,7 @@ RULE = ic.ChoiceRule([[0.5, 0.5], [0.5, 0.5]])
 HALF = [0.5, 0.5]
 BETA_AB = ic.constant_betas(ic.StateSpace(("a", "b")), 1.0)
 BETA_3 = ic.constant_betas(ic.StateSpace(("a", "b", "c")), 1.0)
+VALUED_3 = ic.StateSpace(("a", "b", "c"), (0.0, 1.0, 2.0))
 MU_3 = ic.uninformative_experiment(BETA_3.states, [0.5, 0.5])
 MOMENTS = ic.moments(FD, 2).values
 
@@ -386,6 +387,11 @@ def test_pool_raises_only_validation_errors(surface):
         (lambda: ic.llr_cost_via_posteriors(MU, BETA_AB, HALF), StateSpaceMismatch),
         (lambda: ic.partition_coefficient(BETA_AB, ic.Hypothesis(STATES, {0})), StateSpaceMismatch),
         (lambda: ic.beta_from_json({"states": ["lo", "hi"]}), IncompleteInput),
+        # a matrix and a rule would price one test two ways
+        (
+            lambda: ic.BetaMatrix(VALUED_3, np.ones((3, 3)), ("inverse_square", 5.0)),
+            ValidationError,
+        ),
         (lambda: ic.binary_experiment(0.8, BETA_3.states), DimensionMismatch),
         (lambda: ic.LLRDistribution(DIST.atoms, DIST.weights[:1]), DimensionMismatch),
         (lambda: ic.convolve_llr(DIST, ic.llr_distribution(MU_3)), DimensionMismatch),
@@ -422,6 +428,7 @@ def test_pool_raises_only_validation_errors(surface):
         "posterior-route-states",
         "partition-states",
         "beta-json-no-coef-no-rule",
+        "beta-matrix-and-rule",
         "binary-experiment-3-states",
         "llr-weight-rows",
         "convolve-state-count",
@@ -432,6 +439,37 @@ def test_pool_raises_only_validation_errors(surface):
 def test_values_are_refused_not_coerced(call, error):
     with pytest.raises(error):
         call()
+
+
+READERS = {
+    "experiment": ic.experiment_from_json,
+    "problem": ic.problem_from_json,
+    "beta": lambda obj: ic.beta_from_json(obj, STATES),
+}
+# every key a reader needs, left out of a document that has it; "values" is
+# optional, and a beta file without "rule" is read as a matrix
+MISSING_KEYS = [
+    (doc.split()[-1], doc, key)
+    for doc, obj in DOCUMENTS.items()
+    for key in obj
+    if key not in ("values", "rule")
+]
+
+
+@pytest.mark.parametrize("obj", [5, []], ids=["number", "list"])
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_refuse_a_document_that_is_no_object(kind, obj):
+    with pytest.raises(ValidationError, match=f"^{kind} JSON must be an object$"):
+        READERS[kind](obj)
+
+
+@pytest.mark.parametrize(
+    "kind, doc, key", MISSING_KEYS, ids=[f"{doc}-{key}" for _, doc, key in MISSING_KEYS]
+)
+def test_readers_name_the_missing_key(kind, doc, key):
+    obj = {k: v for k, v in DOCUMENTS[doc].items() if k != key}
+    with pytest.raises(IncompleteInput, match=f"^{kind} JSON missing '{key}'$"):
+        READERS[kind](obj)
 
 
 def test_integral_reals_are_integers():

@@ -316,9 +316,11 @@ class TestObjective:
 
     def test_positive_rules_cost_their_experiment_bit_for_bit(self):
         # a positive rule is priced as the experiment whose signals are its
-        # actions, through the same LLR sum; the KL-matrix sum agrees to
-        # rounding.  Up to 12 actions, as from 8 columns on numpy's row sums
-        # round differently on a column-major copy of the rule
+        # actions: llr_cost prices that experiment through _rule_cost too,
+        # so the KL-matrix sum, which agrees to rounding, is the assertion
+        # that still compares two routes.  Up to 12 actions, as from 8
+        # columns on numpy's row sums round differently on a column-major
+        # copy of the rule
         rng = Xoshiro256(58)
         for _ in range(50):
             problem = rand_problem(rng, rng.randint(2, 5), rng.randint(2, 12))
