@@ -76,13 +76,12 @@ def _rand_experiment(
 
 
 def _rand_beta(rng: Xoshiro256, states: StateSpace) -> BetaMatrix:
-    # draws the diagonal too, unlike the tests' rand_beta, so the two
-    # seeded sequences differ and stay two functions
+    # draws the diagonal too, which BetaMatrix zeroes, unlike the tests'
+    # rand_beta, so the two seeded sequences differ and stay two functions
     n = states.n
     coef = np.array(
         [[rng.uniform_in(0.05, 2.0) for _ in range(n)] for _ in range(n)]
     )
-    np.fill_diagonal(coef, 0.0)
     return BetaMatrix(states, coef)
 
 

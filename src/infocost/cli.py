@@ -57,7 +57,7 @@ def _load_json(path: str) -> dict:
 
 def _cmd_cost(args) -> int:
     from .costs import beta_from_json, kl_matrix, llr_cost, llr_cost_via_posteriors
-    from .experiments import _floats, _parsed, experiment_from_json
+    from .experiments import _parsed, experiment_from_json
 
     mu = experiment_from_json(_load_json(args.experiment))
     beta = beta_from_json(_load_json(args.beta), states=mu.states)
@@ -66,7 +66,7 @@ def _cmd_cost(args) -> int:
     report = {"cost": cost}
     if args.prior is not None:
         what = f"bad prior {args.prior!r}"
-        prior = _floats([_parsed(s, what) for s in args.prior.split(",")], what)
+        prior = [_parsed(s, what) for s in args.prior.split(",")]
         via = llr_cost_via_posteriors(mu, beta, prior)
         report["cost_via_posteriors"] = via
         report["delta"] = abs(cost - via)
@@ -75,10 +75,7 @@ def _cmd_cost(args) -> int:
         report["beta"] = coef.tolist()
         _write(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        rows = [("cost", "", "", cost)]
-        for key in ("cost_via_posteriors", "delta"):
-            if key in report:
-                rows.append((key, "", "", report[key]))
+        rows = [(key, "", "", value) for key, value in report.items()]
         labels = mu.states.labels
         for i in range(mu.n_states):
             for j in range(mu.n_states):

@@ -262,14 +262,16 @@ def _rule_cost(P: np.ndarray, beta: BetaMatrix) -> float:
     meets P_ia > 0 = P_ja; a zero price contributes nothing, even there."""
     P = P[:, P.max(axis=0) > 0.0]  # an unused action costs nothing
     pos = P > 0.0
-    if not pos.all() and np.any(beta.apply((~pos).astype(float))[pos] > 0.0):
-        return math.inf  # (B 1[P = 0])_ia > 0 where P_ia > 0
+    if not pos.all():
+        with np.errstate(over="ignore"):  # a price sum past the range is inf, still > 0
+            if np.any(beta.apply((~pos).astype(float))[pos] > 0.0):
+                return math.inf  # (B 1[P = 0])_ia > 0 where P_ia > 0
     # logs against row 0, else against the column's largest entry; ln 1 = 0
     # fills the zeros, as only L_ia - L_ja of positive pairs reaches the sum
     ref = np.where(pos[0], P[0], P.max(axis=0))
     X = np.empty((P.shape[0], P.shape[1] + 1))
     np.log(np.where(pos, P, ref) / ref, out=X[:, 1:])
-    return _nonnegative(_llr_sum(beta, P, X))
+    return _nonnegative(_priced(lambda b: _llr_sum(b, P, X), beta))
 
 
 def _llr_sum(beta: BetaMatrix, W: np.ndarray, X: np.ndarray) -> float:
@@ -281,6 +283,20 @@ def _llr_sum(beta: BetaMatrix, W: np.ndarray, X: np.ndarray) -> float:
     X[:, 0] = 1.0
     BX = beta.apply(X)
     return float(np.vdot(W, X[:, 1:] * BX[:, :1] - BX[:, 1:]))
+
+
+def _priced(price, beta: BetaMatrix) -> float:
+    """price(beta), a sum of prices, without a warning; where it passes the
+    double range on the way, it is priced again at 2^-64 of every price,
+    which commutes with rounding, and scaled back: finite when the sum is,
+    beyond the range inf (-inf for a potential), never NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = price(beta)
+        if not math.isfinite(total):
+            rule = beta.rule and (beta.rule[0], beta.rule[1] * 2.0**-64)
+            small = BetaMatrix(beta.states, None if rule else beta.coef * 2.0**-64, rule)
+            total = price(small) * 2.0**64  # math.ldexp raises past the range
+    return math.inf if math.isnan(total) else total
 
 
 def llr_cost(mu: Experiment, beta: BetaMatrix) -> float:
@@ -300,7 +316,7 @@ def llr_cost_from_distribution(dist: LLRDistribution, beta: BetaMatrix) -> float
         raise DimensionMismatch("state counts differ")
     X = np.zeros((dist.n_states, dist.n_atoms + 1))
     X[1:, 1:] = dist.atoms.T  # xi_0 = 0
-    return _nonnegative(_llr_sum(beta, dist.weights, X))
+    return _nonnegative(_priced(lambda b: _llr_sum(b, dist.weights, X), beta))
 
 
 def binary_cost(p: float, beta: BetaMatrix) -> float:
@@ -325,16 +341,29 @@ def _flip_divergence(x: float) -> float:
 
 def normal_cost(means: Sequence[float], sigma: float, beta: BetaMatrix) -> float:
     """Cost of observing state-dependent mean m_i plus N(0, sigma^2) noise:
-    sum of beta_ij (m_j - m_i)^2 / (2 sigma^2).
-    """
+    sum of beta_ij (m_j - m_i)^2 / (2 sigma^2).  Past the double range it is
+    taken again in powers of two, which commute with rounding: the means in
+    units of the largest one's binade, and _priced's rule.  So a finite cost
+    stays finite, and beyond the range it is inf."""
     m = _finite(means, "means", (beta.n,))
     sigma = _real(sigma, "sigma", error=SigmaNonPositive)
-    # sum_ij B_ij (m_i - m_j)^2 = m^2 . (B 1) + sum B m^2 - 2 m . B m, for
-    # any beta, and unchanged by a shift of m
-    m -= m.mean()
+    f, es = math.frexp(sigma)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # below 2^511, 2 sigma^2 is finite: past it every cost would read 0
+        cost = _squared_gaps(beta, m) / (2.0 * sigma**2) if es <= 511 else math.nan
+        if math.isfinite(cost):
+            return float(cost)
+        e = math.frexp(float(np.abs(m).max()))[1]
+        t, et = math.frexp(_priced(lambda b: _squared_gaps(b, np.ldexp(m, -e)), beta))
+        return float(np.ldexp(t / (2.0 * f * f), et + 2 * (e - es)))
+
+
+def _squared_gaps(beta: BetaMatrix, m: np.ndarray) -> np.float64:
+    """sum_ij B_ij (m_i - m_j)^2 = m^2 . (B 1) + sum B m^2 - 2 m . B m, for
+    any beta, and unchanged by a shift of m."""
+    m = m - m.mean()
     BX = beta.apply(np.column_stack([np.ones_like(m), m, m * m]))
-    total = (m * m) @ BX[:, 0] + BX[:, 2].sum() - 2.0 * (m @ BX[:, 1])
-    return float(total / (2.0 * sigma**2))
+    return (m * m) @ BX[:, 0] + BX[:, 2].sum() - 2.0 * (m @ BX[:, 1])
 
 
 def _mutual_information(q: np.ndarray, P: np.ndarray) -> float:
@@ -367,7 +396,7 @@ def posterior_separable_value(beta: BetaMatrix, prior, p) -> float:
     """
     q = _full_support_row(prior, beta.n, "prior", error=PriorNotFullSupport)
     p = _full_support_row(p, beta.n, "posterior")
-    return _potential(beta, q, p)
+    return _priced(lambda b: _potential(b, q, p), beta)
 
 
 def _potential(beta: BetaMatrix, q: np.ndarray, p: np.ndarray) -> float:
@@ -387,8 +416,11 @@ def llr_cost_via_posteriors(mu: Experiment, beta: BetaMatrix, prior) -> float:
     if mu.states != beta.states:
         raise StateSpaceMismatch("experiment and beta disagree on states")
     q = _full_support_row(prior, beta.n, "prior", PriorNotFullSupport)
-    total = sum(m * _potential(beta, q, post) for post, m in _posteriors(mu, q))
-    return _nonnegative(total - _potential(beta, q, q))
+    posteriors = _posteriors(mu, q)
+    total = _priced(
+        lambda b: sum(m * _potential(b, q, p) for p, m in posteriors) - _potential(b, q, q), beta
+    )
+    return _nonnegative(total)
 
 
 @dataclass(frozen=True)
@@ -521,23 +553,14 @@ def _quotient(num: int, den: int) -> float:
 def hypothesis_test_cost(beta: BetaMatrix, h: Hypothesis, alpha: float) -> float:
     """Cost of the two-signal test that reports membership with accuracy alpha.
 
-    A coefficient past the double range is priced again with every price
-    scaled by 2^-64, which commutes with rounding, and the product scaled
-    back, so a finite cost stays finite; beyond the range it is inf."""
+    A coefficient past the double range is priced by _priced's rule, so a
+    finite cost stays finite; beyond the range it is inf."""
     alpha = _real(alpha, "alpha", 0.0, 1.0, AlphaOutOfRange)
     # an uninformative test costs 0, also where the coefficient is inf
     kl = _flip_divergence(alpha)
     if not kl:
         return 0.0
-    coef = partition_coefficient(beta, h)
-    if coef < math.inf:
-        return coef * kl
-    if beta.rule is None:
-        small = BetaMatrix(beta.states, beta.coef * 2.0**-64)
-    else:
-        small = BetaMatrix(beta.states, None, (beta.rule[0], beta.rule[1] * 2.0**-64))
-    # a product, not math.ldexp, which raises where the cost passes the range
-    return partition_coefficient(small, h) * kl * 2.0**64
+    return _priced(lambda b: partition_coefficient(b, h) * kl, beta)
 
 
 def partition_experiment(h: Hypothesis, alpha: float) -> Experiment:

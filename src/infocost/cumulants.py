@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -159,7 +158,8 @@ def finite_distribution(points, weights) -> FiniteDistribution:
         raise DimensionMismatch(f"{pts.shape[0]} points against {w.shape[1]} weights")
     if pts.size == 0:
         raise ValidationError("empty distribution")  # the merge needs a row and a key
-    merged_pts, merged_w = _merge_point_rows(pts, w, LLR_MERGE_TOL)
+    with np.errstate(over="ignore"):  # gaps and sums past the range, as in convolve
+        merged_pts, merged_w = _merge_point_rows(pts, w, LLR_MERGE_TOL)
     return FiniteDistribution(merged_pts, merged_w[0])
 
 
@@ -181,7 +181,8 @@ def convolve(a: FiniteDistribution, b: FiniteDistribution) -> FiniteDistribution
 @dataclass(frozen=True)
 class MomentVector:
     """Values on the index box: mixed moments m(alpha), or, under the alias
-    CumulantVector, mixed cumulants kappa(alpha)."""
+    CumulantVector, mixed cumulants kappa(alpha); also kept as _x, no field:
+    a read-only float array in box order, then the 0.0 padded terms read."""
 
     dim: int
     order: int
@@ -196,32 +197,26 @@ class MomentVector:
             vals = dict(self.values)
         except (TypeError, ValueError):
             raise ValidationError("values must map multi-indices to numbers") from None
-        # real types other than bool (_cast's rule) with a finite sum mean
-        # every value is a finite real; fsum reads each value as
-        # math.isfinite does, and never rounds a finite sum to inf without
-        # raising
         try:
-            column = list(map(vals.__getitem__, box))
-            types = set(map(type, column))
-            finite = (
-                bool not in types
-                and all(issubclass(t, numbers.Real) for t in types)
-                and math.isfinite(math.fsum(column))
-            )
-        except (KeyError, TypeError, ValueError, OverflowError):
-            finite = False
-        if not finite:
-            # name the first bad index in lexicographic order; accept other
-            # real types, such as Fraction, as _cast does
+            x = _finite([*map(vals.__getitem__, box), 0.0], "values", (len(box) + 1,))
+        except (KeyError, ValidationError):
+            # name the first bad index in lexicographic order
             for alpha in box:
                 if alpha not in vals:
-                    raise IncompleteInput(f"missing index {alpha}")
+                    raise IncompleteInput(f"missing index {alpha}") from None
                 value = vals[alpha]
+                if isinstance(value, np.ndarray):
+                    value = value[()]  # a 0-d array is read as its scalar
                 if not _is_real(value):
-                    raise ValidationError(f"value at {alpha} = {value!r} is not a real number")
+                    raise ValidationError(
+                        f"value at {alpha} = {value!r} is not a real number"
+                    ) from None
                 if not math.isfinite(_cast(value, float)):
-                    raise ValidationError(f"non-finite value at {alpha}")
+                    raise ValidationError(f"non-finite value at {alpha}") from None
+            raise
+        x.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_x", x)
 
     def __getitem__(self, alpha: MultiIndex) -> float:
         return self.values[tuple(alpha)]
@@ -230,6 +225,7 @@ class MomentVector:
 CumulantVector = MomentVector
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the MomentVector refuses inf and nan
 def moments(dist: FiniteDistribution, order: int) -> MomentVector:
     """m(alpha) = sum of weight * atom^alpha over the support."""
     n, order = _check_box(dist.dim, order)
@@ -331,12 +327,7 @@ def _recurse(vec: MomentVector, to_cumulants: bool) -> dict:
     """The recursion over vec's box, grade by grade: solved for kappa(alpha)
     when vec holds moments, summed for m(alpha) when it holds cumulants."""
     plan = _plan(vec.dim, vec.order)
-    # the values in box order, then the 0.0 that padded terms read
-    x = np.fromiter(
-        itertools.chain(map(vec.values.__getitem__, plan.box), (0.0,)),
-        float,
-        len(plan.box) + 1,
-    )
+    x = vec._x
     # kappa(alpha) = m(alpha) - sum, m(alpha) = kappa(alpha) + sum, and
     # every term is C kappa(beta) m(alpha - beta)
     sign = np.subtract if to_cumulants else np.add

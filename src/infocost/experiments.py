@@ -402,6 +402,11 @@ def _merge_point_rows(
         idx = starts.nonzero()[0]
         counts = np.concatenate((idx[1:], [k])) - idx
     merged_points = np.add.reduceat(sorted_points, idx, axis=0) / counts[:, None]
+    wide = np.isinf(merged_points)
+    if wide.any():  # a sum past the range: average the rows scaled by 2^-s, exactly
+        scale = 2.0 ** int(counts.max()).bit_length()  # above every count
+        scaled = np.add.reduceat(sorted_points / scale, idx, axis=0) / counts[:, None]
+        merged_points[wide] = scaled[wide] * scale
     merged_weights = np.add.reduceat(weights.take(order, axis=-1), idx, axis=-1)
     return merged_points, merged_weights
 

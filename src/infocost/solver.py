@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .experiments import (
     _check_prob_matrix,
     _finite,
     _floats,
+    _freeze,
     _full_support_row,
     _json_fields,
     _json_labels,
@@ -87,9 +88,8 @@ class ChoiceRule:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.atleast_2d(_floats(self.probs, "choice rule"))
+        p = _freeze(_floats(self.probs, "choice rule"))
         _check_prob_matrix(p, "choice rule", positive=False)
-        p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
 
@@ -114,15 +114,9 @@ class SolveResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule.probs.tolist(),
-            "objective": self.objective,
-            "cost": self.cost,
-            "expected_utility": self.expected_utility,
-            "foc_residual": self.foc_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        """The fields in order, the rule as its nested list of probabilities."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return out | {"rule": self.rule.probs.tolist()}
 
     def summary(self) -> str:
         tag = "converged" if self.converged else "NOT converged"

@@ -68,12 +68,20 @@ def skewed_file(tmp_path):
 
 class TestCost:
     def test_csv_layout(self, exp_file, beta_file, capsys):
-        assert main(["cost", "--experiment", exp_file, "--beta", beta_file]) == 0
+        argv = ["cost", "--experiment", exp_file, "--beta", beta_file]
+        assert main(argv) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "quantity,state_i,state_j,value"
         assert lines[1] == "cost,,,1.66355323"
         kinds = [line.split(",")[0] for line in lines[1:]]
-        assert kinds.count("kl") == 2 and kinds.count("beta") == 2
+        assert kinds == ["cost", "kl", "beta", "kl", "beta"]
+        # --prior adds its two rows after the cost, and changes no other row
+        assert main(argv + ["--prior", "0.3,0.7"]) == 0
+        with_prior = capsys.readouterr().out.strip().split("\n")
+        assert with_prior[:2] == lines[:2]
+        assert with_prior[2] == "cost_via_posteriors,,,1.66355323"
+        assert with_prior[3].startswith("delta,,,")
+        assert with_prior[4:] == lines[2:]
 
     def test_csv_is_byte_deterministic(self, exp_file, beta_file, capsys):
         main(["cost", "--experiment", exp_file, "--beta", beta_file])

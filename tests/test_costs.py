@@ -342,6 +342,28 @@ class TestLLRCost:
                 assert got == (coef[0, 1] + coef[1, 0]) * _flip_divergence(p)
                 assert got == hypothesis_test_cost(beta, Hypothesis(beta.states, {0}), p)
 
+    @pytest.mark.parametrize("value", [1e307, 5e307], ids=["finite", "beyond-the-range"])
+    @pytest.mark.parametrize(
+        "price",
+        [
+            llr_cost,
+            lambda mu, beta: llr_cost_from_distribution(llr_distribution(mu), beta),
+            lambda mu, beta: llr_cost_via_posteriors(mu, beta, [0.3, 0.7]),
+        ],
+        ids=["llr", "distribution", "posteriors"],
+    )
+    def test_prices_past_the_double_range(self, price, value):
+        # B L passes the range on the way, and the price is taken again at
+        # 2^-64 of the prices: finite when the cost is, else inf, never NaN
+        states = StateSpace(("a", "b"))
+        mu = Experiment(states, ("x", "y"), [[0.5, 0.5], [1 - 2e-12, 2e-12]])
+        with mp.workdps(40):
+            P = [[mp.mpf(p) for p in row] for row in mu.probs]
+            kl = [sum(P[i][s] * mp.log(P[i][s] / P[1 - i][s]) for s in range(2)) for i in range(2)]
+            want = float(mp.mpf(value) * (kl[0] + kl[1]))
+        assert price(mu, constant_betas(states, value)) == pytest.approx(want, rel=1e-12)
+        assert math.isfinite(want) == (value == 1e307)
+
     def test_binary_closed_form_rejects_bad_p(self):
         beta = constant_betas(StateSpace(("a", "b")), 1.0)
         for p in (0.0, 1.0, math.nan):
@@ -576,6 +598,40 @@ class TestNormalCost:
             if i != j
         ) / (2 * sigma**2)
         assert normal_cost(means, sigma, beta) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "means, sigma, value",
+        [
+            ([1e155, -1e155], 1.0, 1e-10),
+            ([1e308, 1e308], 1e-10, 1.0),
+            ([0.0, 1e200], 1e200, 1.0),
+            ([0.0, 1.0], 1e200, 1.0),
+            ([1e-200, -1e-200], 1e-200, 1.0),
+            ([1e300, 0.0, -1e300], 1e-10, 1e-300),
+            ([0.0, 1.0, 3.0], 1e-170, 1e300),
+            ([0.0, 1e150], 1e160, 1.0),
+        ],
+        ids=[
+            "squares-pass",
+            "mean-passes",
+            "sigma-square-passes",
+            "cost-underflows",
+            "sigma-square-underflows",
+            "gaps-pass",
+            "beyond-the-range",
+            "only-sigma-square-passes",
+        ],
+    )
+    def test_costs_past_the_double_range(self, means, sigma, value):
+        # priced again in units of the largest mean's binade: finite when
+        # the cost is, inf beyond the range, 0 below it, never NaN
+        states = StateSpace(tuple("abc"[: len(means)]))
+        with mp.workdps(40):
+            m = [mp.mpf(x) for x in means]
+            gaps = sum((a - b) ** 2 for a in m for b in m)
+            want = float(mp.mpf(value) * gaps / (2 * mp.mpf(sigma) ** 2))
+        got = normal_cost(means, sigma, constant_betas(states, value))
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_validation(self):
         states = _grid_states(2)

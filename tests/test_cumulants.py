@@ -130,6 +130,10 @@ class TestMultiIndices:
             multi_indices(2, 0)
 
 
+# a double whose sum of three, divided by 3, is itself again
+THIRDS_EXACT = 1.5 * 2.0**1023
+
+
 class TestFiniteDistribution:
     def test_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -183,6 +187,28 @@ class TestFiniteDistribution:
         points[1][col] = points[2][col] = bad
         with pytest.raises(ValidationError, match="non-finite atom"):
             finite_distribution(points, [0.25, 0.25, 0.5])
+
+    @pytest.mark.parametrize(
+        "points, weights, atoms, merged",
+        [
+            ([[-1e308], [1e308]], [0.5, 0.5], [[-1e308], [1e308]], [0.5, 0.5]),
+            ([[1.5e308], [1.5e308]], [0.5, 0.5], [[1.5e308]], [1.0]),
+            (
+                [[THIRDS_EXACT, -THIRDS_EXACT]] * 3 + [[0.0, 1.0]],
+                [0.25] * 4,
+                [[0.0, 1.0], [THIRDS_EXACT, -THIRDS_EXACT]],
+                [0.25, 0.75],
+            ),
+        ],
+        ids=["gap-past-the-range", "pair-sum-past-it", "triple-sum-past-it"],
+    )
+    def test_points_across_the_double_range_merge_without_warnings(
+        self, points, weights, atoms, merged
+    ):
+        # the gap test and a group's sum pass the range; the group mean does not
+        d = finite_distribution(points, weights)
+        np.testing.assert_array_equal(d.atoms, atoms)
+        np.testing.assert_array_equal(d.weights, merged)
 
     def test_constructor_merges_nearby_points(self):
         d = finite_distribution([[1.0], [1.0 + 1e-15], [2.0]], [0.3, 0.3, 0.4])
@@ -585,6 +611,10 @@ class TestVectorValidation:
         vals = {alpha: 1e200 for alpha in multi_indices(2, 3)}
         with pytest.raises(ValidationError, match="non-finite value"):
             cumulants_to_moments(CumulantVector(2, 3, vals))
+        # and in moments, where (1e308)^2 passes the range, without a warning
+        d = FiniteDistribution([[-1e308], [1e308]], [0.5, 0.5])
+        with pytest.raises(ValidationError, match=r"non-finite value at \(2,\)"):
+            moments(d, 2)
 
     def test_other_real_types_are_accepted(self):
         m = MomentVector(1, 2, {(1,): Fraction(1, 2), (2,): 1})
@@ -593,6 +623,18 @@ class TestVectorValidation:
     def test_numpy_floats_are_accepted(self):
         m = MomentVector(1, 2, {(1,): np.float64(0.5), (2,): 1})
         assert moments_to_cumulants(m)[(2,)] == 0.75
+        # a 0-d array too, as in every other array field
+        m = MomentVector(1, 2, {(1,): np.array(0.5), (2,): np.array(1)})
+        assert moments_to_cumulants(m)[(2,)] == 0.75
+
+    def test_values_are_kept_as_one_read_only_array(self):
+        # box order, then the 0.0 that the plan's padded terms read
+        box = multi_indices(2, 2)
+        m = MomentVector(2, 2, {alpha: Fraction(i, 4) for i, alpha in enumerate(box)})
+        np.testing.assert_array_equal(m._x, [i / 4 for i in range(len(box))] + [0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            m._x[0] = 1.0
+        assert m[(0, 1)] == Fraction(0, 4)  # values keep what they were given
 
     @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
     def test_bools_are_refused(self, flag):

@@ -271,6 +271,11 @@ class TestObjective:
         beta = constant_betas(states, 1.0)
         rule = ChoiceRule(np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert objective(problem, rule, beta) == -math.inf
+        # the zero test's price sums pass the double range, without a warning
+        three = StateSpace(("s0", "s1", "s2"))
+        problem = DecisionProblem(three, ("a", "b"), np.zeros((2, 3)), np.full(3, 1 / 3))
+        rule = ChoiceRule(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+        assert objective(problem, rule, constant_betas(three, 1e308)) == -math.inf
 
     def test_zero_price_on_an_infinite_pair_contributes_nothing(self):
         # KL(row 0 || row 1) = ln 2, while KL(row 1 || row 0) is infinite
